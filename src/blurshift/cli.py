@@ -5,8 +5,7 @@ diagnose, counterexample. Each run prints a single JSON line to stdout with
 the fully resolved configuration and the paths it wrote. Failures print
 {"error": {"code", "message"}} to stderr and exit nonzero.
 
-Environment: BLURSHIFT_SEED overrides the default --seed, BLURSHIFT_WORKERS
-the default --workers. Results never depend on the worker count.
+Environment: BLURSHIFT_SEED overrides the default --seed.
 """
 
 from __future__ import annotations
@@ -254,24 +253,21 @@ def _cmd_experiment(args) -> None:
         max_iterations=args.max_iterations,
         merge_tolerance=args.merge_tolerance,
     )
-    extra = {"workers": args.workers}
     outputs = {"report": args.out}
     if kind == "convergence_rate":
         report = run_convergence_rate(config)
-        fileio.write_convergence_report_json(args.out, report, extra)
+        fileio.write_convergence_report_json(args.out, report)
         if args.emit_csv is not None:
             fileio.write_convergence_csv(args.emit_csv, report)
             outputs["values"] = args.emit_csv
     else:
         runner = run_efficiency if kind == "efficiency" else run_robustness
         report = runner(config)
-        fileio.write_experiment_report_json(args.out, report, extra)
+        fileio.write_experiment_report_json(args.out, report)
         if args.emit_csv is not None:
             fileio.write_experiment_values_csv(args.emit_csv, report)
             outputs["values"] = args.emit_csv
-    resolved = fileio.config_dict(config)
-    resolved["workers"] = args.workers
-    _echo("experiment", resolved, outputs)
+    _echo("experiment", fileio.config_dict(config), outputs)
 
 
 def _cmd_diagnose(args) -> None:
@@ -419,12 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         help="kernel cutoff as a multiple of tau; 'none' for pure gaussian, "
         "'auto' for the per-kind default",
-    )
-    experiment.add_argument(
-        "--workers",
-        type=int,
-        default=_env_int("BLURSHIFT_WORKERS", 1),
-        help="replication scheduling hint; never changes results",
     )
     experiment.add_argument("--out", required=True, help="report JSON")
     experiment.add_argument("--emit-csv", help="long-format raw values CSV")

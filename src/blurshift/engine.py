@@ -8,25 +8,29 @@ influence kernel:
 * nonblurring: a set of centers is repeatedly averaged against a fixed
   reference cloud, which never moves.
 
-Updates are dense: every pair is evaluated exactly, no neighbor pruning. At
-desk scale the full influence matrix is materialized; above a size threshold
-the same sums are accumulated over cache-sized tiles with a fixed traversal
-order, so results do not depend on problem size thresholds beyond float
-rounding and never depend on scheduling.
+Blurring is nonblurring with the targets equal to the data and the self pair
+pinned at f(0) = 1, so both steps run through one reducer, whatever the size
+of the cloud. Every pair is evaluated exactly, no neighbor pruning. The
+reducer centres the cloud on its mean, so results commute with translation
+up to rounding of the cloud's extent, and accumulates the sums over
+cache-sized tiles in a fixed order; an untruncated Gaussian takes a
+factorised tile that needs no distances.
 
-The tiled Gaussian blurring step deals its row blocks round-robin to a fixed
-number of stripes. Each stripe sums its tiles in a fixed order into its own
-accumulator, the stripes run on up to that many threads (numpy ufuncs and
-BLAS release the interpreter lock), and the stripe accumulators are added in
-stripe order. The split never depends on the thread count, so a step gives
-bitwise the same result on one thread or several.
+Row blocks of the tiles are dealt round-robin to a fixed number of stripes.
+Each stripe sums its tiles in a fixed order into its own accumulator, and
+the stripe accumulators are added in stripe order. A step of at least
+``_THREADED_PAIRS`` pairs runs its stripes on up to that many threads (numpy
+ufuncs and BLAS release the interpreter lock); a smaller one runs them on
+the calling thread, so its time does not depend on a second CPU being free.
+The split never depends on the thread count, so a step gives bitwise the
+same result on one thread or several.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -54,18 +58,21 @@ DEFAULT_STOP_DISPLACEMENT = 1e-10
 DEFAULT_MAX_ITERATIONS = 500
 DEFAULT_MERGE_TOLERANCE = 1e-6
 
-# full influence matrix below this many points, tiled accumulation above
-_DENSE_LIMIT = 3000
-# tiles of the factorized Gaussian step: 1 MiB of doubles stays in a core's L2,
+# tiles of the reducer: 1 MiB of doubles stays in a core's L2,
 # and the skinny tile products are small enough that BLAS keeps them on the
 # calling thread; at 128 x 2048 BLAS's own threads contended with the other
 # stripe and doubled the p=2 step
 _TILE_ROWS = 256
 _TILE_COLS = 512
-# stripes of the tiled Gaussian step; fixed, so results never depend on the
+# stripes of the reducer; fixed, so results never depend on the
 # machine's thread count
 _STRIPES = 2
-# largest exponent the factorized Gaussian tile path may produce
+# steps with fewer pairs run their stripes on the calling thread: two threads
+# need two CPUs at once, so a threaded step slows by whatever share another
+# busy process takes, while a one-thread step keeps to whichever CPU is free;
+# from here on a step takes a fifth of a second and more on one core
+_THREADED_PAIRS = 10**8
+# largest exponent the factorised Gaussian tiles may produce
 _EXP_ARG_LIMIT = 700.0
 
 
@@ -199,29 +206,6 @@ class ClusterResult:
         return len(self.sizes)
 
 
-def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared euclidean distances, (len(a), len(b)). Expanded form."""
-    aa = np.einsum("ij,ij->i", a, a)
-    bb = np.einsum("ij,ij->i", b, b)
-    s = aa[:, None] + bb[None, :] - 2.0 * (a @ b.T)
-    np.maximum(s, 0.0, out=s)
-    return s
-
-
-def _weighted_average(F: np.ndarray, x: np.ndarray, w: np.ndarray):
-    num = F @ (w[:, None] * x)
-    den = F @ w
-    return num, den
-
-
-def _blurring_dense(x: np.ndarray, w: np.ndarray, kernel: Kernel) -> np.ndarray:
-    s = _sq_dists(x, x)
-    np.fill_diagonal(s, 0.0)  # keep the self term at exactly f(0) = 1
-    F = kernel.evaluate_sq(s)
-    num, den = _weighted_average(F, x, w)
-    return num / den[:, None]
-
-
 def _stripe_workers() -> int:
     """Threads to run the stripes on: at most one per stripe and per CPU."""
     try:
@@ -231,93 +215,107 @@ def _stripe_workers() -> int:
     return min(_STRIPES, cpus)
 
 
-def _blurring_tiled_gaussian(x: np.ndarray, w: np.ndarray, tau: float) -> np.ndarray:
-    """Blurring step for an untruncated Gaussian kernel, accumulated over
-    symmetric tiles via exp(-|ui-uj|^2) = e^{-|ui|^2} e^{-|uj|^2} e^{2 ui.uj}.
-
-    Row block b of ``_TILE_ROWS`` rows goes to stripe b mod ``_STRIPES``. A
-    stripe walks its blocks in order, each from its diagonal tile rightwards
-    in tiles of ``_TILE_COLS`` columns, and adds every off-diagonal tile into
-    both its rows and its columns of the stripe's own accumulator. Interleaving
-    the blocks balances the triangular work. The stripes run on up to
-    ``_stripe_workers()`` threads, each with its own tile buffer, and their
-    accumulators are summed in stripe order, so the thread count never
-    changes a bit of the result.
-
-    Equals the dense path up to a few ulps while touching each pair once and
-    keeping every intermediate inside the cache.
-    """
-    n, p = x.shape
-    u = x / (math.sqrt(2.0) * tau)
-    a = np.exp(-np.einsum("ij,ij->i", u, u))
-    V = np.empty((n, p + 1))
-    V[:, :p] = (a * w)[:, None] * x
-    V[:, p] = a * w
-    u2 = 2.0 * u
-
-    def cross_term(ui: np.ndarray, j0: int, j1: int, out: np.ndarray) -> None:
-        if p == 1:
-            # a k=1 matmul costs more than the elementwise outer product
-            np.multiply(ui, u2[j0:j1, 0], out=out)
-        else:
-            np.matmul(ui, u2[j0:j1].T, out=out)
-
-    def stripe(s: int) -> np.ndarray:
-        acc = np.zeros((n, p + 1))
-        buf = np.empty((_TILE_ROWS, max(_TILE_ROWS, _TILE_COLS)))
-        for i0 in range(s * _TILE_ROWS, n, _STRIPES * _TILE_ROWS):
-            i1 = min(i0 + _TILE_ROWS, n)
-            ui = u[i0:i1]
-            z = buf[: i1 - i0, : i1 - i0]
-            cross_term(ui, i0, i1, z)
-            np.exp(z, out=z)
-            acc[i0:i1] += z @ V[i0:i1]
-            for j0 in range(i1, n, _TILE_COLS):
-                j1 = min(j0 + _TILE_COLS, n)
-                z = buf[: i1 - i0, : j1 - j0]
-                cross_term(ui, j0, j1, z)
-                np.exp(z, out=z)
-                acc[i0:i1] += z @ V[j0:j1]
-                acc[j0:j1] += z.T @ V[i0:i1]
-        return acc
-
-    # imported here, not at module level: concurrent.futures loads logging,
-    # a startup cost for every import of the package that never gets here
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=_stripe_workers()) as pool:
-        parts = list(pool.map(stripe, range(_STRIPES)))
-    acc = parts[0]
-    for part in parts[1:]:
-        acc += part
-    num = acc[:, :p] * a[:, None]
-    den = acc[:, p] * a
-    return num / den[:, None]
-
-
-def _reduce_tiled_generic(
-    targets: np.ndarray, x: np.ndarray, w: np.ndarray, kernel: Kernel, self_pairs: bool
+def _reduce(
+    targets: np.ndarray, x: np.ndarray, w: np.ndarray, kernel: Kernel, symmetric: bool
 ):
-    """Influence-weighted sums of rows of (w, w*x) at each target, row-tiled.
+    """Influence-weighted sums of the rows of (w x, w) at each target.
 
-    With self_pairs=True, targets are assumed to be x itself and the
-    diagonal squared distance is pinned to exactly 0.
+    Returns (num, den, mu): num (m, p) is about the data mean mu, so the
+    update is num / den + mu. With symmetric=True the targets are x itself:
+    each pair is evaluated once, every off-diagonal tile is also scattered
+    transposed into its column rows, and the self pair enters with influence
+    exactly f(0) = 1.
+
+    Everything is centred on the data mean first, which makes the sums
+    commute with translation up to rounding of the extent, not of |x|. An
+    untruncated Gaussian whose centred spread keeps every exponent within
+    ``_EXP_ARG_LIMIT`` is factorised, exp(-|u - v|^2) =
+    e^{-|u|^2} e^{-|v|^2} e^{2 u.v}, so a tile costs one product and one
+    exp; any other kernel gets ``kernel.evaluate_sq`` of the centred
+    expanded squared distances.
+
+    Row block b of ``_TILE_ROWS`` targets goes to stripe b mod ``_STRIPES``;
+    each stripe walks its blocks in order, in tiles of ``_TILE_COLS``
+    columns, into its own accumulator, and the accumulators are added in
+    stripe order. Which stripes exist depends on m alone, so the thread
+    count, one below ``_THREADED_PAIRS`` pairs, never changes a bit of the
+    result.
     """
     n, p = x.shape
     m = targets.shape[0]
-    rows = max(1, int(20_000_000 // max(n, 1)))
-    num = np.empty((m, p))
-    den = np.empty(m)
-    wx = w[:, None] * x
-    for i0 in range(0, m, rows):
-        i1 = min(i0 + rows, m)
-        s = _sq_dists(targets[i0:i1], x)
-        if self_pairs:
-            s[np.arange(i1 - i0), np.arange(i0, i1)] = 0.0
-        F = kernel.evaluate_sq(s)
-        num[i0:i1] = F @ wx
-        den[i0:i1] = F @ w
-    return num, den
+    mu = x.mean(axis=0)
+    xc = x - mu
+    tc = xc if symmetric else targets - mu
+    xx = np.einsum("ij,ij->i", xc, xc)
+    tt = xx if symmetric else np.einsum("ij,ij->i", tc, tc)
+    factored = (
+        isinstance(kernel, GaussianKernel)
+        and not math.isfinite(kernel.support_radius)
+        and max(xx.max(initial=0.0), tt.max(initial=0.0)) < _EXP_ARG_LIMIT * kernel.tau**2
+    )
+    V = np.empty((n, p + 1))
+    if factored:
+        # rows times columns of the cross term give 2 u.v with u = x / (sqrt 2 tau)
+        scale = math.sqrt(2.0) * kernel.tau
+        rows, cols = tc / scale, xc * (2.0 / scale)
+        a = np.exp(xx / (-2.0 * kernel.tau**2))
+        V[:, p] = a * w
+    else:
+        rows, cols = tc, xc * -2.0
+        V[:, p] = w
+    V[:, :p] = V[:, p, None] * xc
+
+    def tile(i0: int, i1: int, j0: int, j1: int, buf: np.ndarray) -> np.ndarray:
+        # contiguous head of the flat buffer: a strided view of a full-size
+        # tile doubles the cost of the ufuncs on small tiles
+        z = buf[: (i1 - i0) * (j1 - j0)].reshape(i1 - i0, j1 - j0)
+        if p == 1:
+            # a k=1 matmul costs more than the elementwise outer product
+            np.multiply(rows[i0:i1], cols[j0:j1, 0], out=z)
+        else:
+            np.matmul(rows[i0:i1], cols[j0:j1].T, out=z)
+        if factored:
+            return np.exp(z, out=z)
+        z += tt[i0:i1, None]
+        z += xx[None, j0:j1]
+        np.maximum(z, 0.0, out=z)
+        if symmetric and i0 == j0:
+            np.fill_diagonal(z, 0.0)
+        return kernel.evaluate_sq(z)
+
+    def stripe(s: int) -> np.ndarray:
+        acc = np.zeros((m, p + 1))
+        buf = np.empty(_TILE_ROWS * max(_TILE_ROWS, _TILE_COLS))
+        for i0 in range(s * _TILE_ROWS, m, _STRIPES * _TILE_ROWS):
+            i1 = min(i0 + _TILE_ROWS, m)
+            if symmetric:
+                acc[i0:i1] += tile(i0, i1, i0, i1, buf) @ V[i0:i1]
+            for j0 in range(i1 if symmetric else 0, n, _TILE_COLS):
+                j1 = min(j0 + _TILE_COLS, n)
+                F = tile(i0, i1, j0, j1, buf)
+                acc[i0:i1] += F @ V[j0:j1]
+                if symmetric:
+                    acc[j0:j1] += F.T @ V[i0:i1]
+        return acc
+
+    stripes = range(min(_STRIPES, max(1, -(-m // _TILE_ROWS))))
+    workers = min(len(stripes), _stripe_workers()) if m * n >= _THREADED_PAIRS else 1
+    if workers == 1:
+        # no thread pool: it costs more than a whole small step
+        parts = [stripe(s) for s in stripes]
+    else:
+        # imported here, not at module level: concurrent.futures loads
+        # logging, a startup cost for every import of the package
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(stripe, stripes))
+    acc = parts[0]
+    for part in parts[1:]:
+        acc += part
+    if factored:
+        acc *= (a if symmetric else np.exp(tt / (-2.0 * kernel.tau**2)))[:, None]
+    return acc[:, :p], acc[:, p], mu
 
 
 def blurring_step(points: PointSet, kernel: Kernel) -> PointSet:
@@ -328,22 +326,8 @@ def blurring_step(points: PointSet, kernel: Kernel) -> PointSet:
     influence exactly 1, so denominators are always positive.
     """
     x, w = points.positions, points.weights
-    n = x.shape[0]
-    if n <= _DENSE_LIMIT:
-        return PointSet(_blurring_dense(x, w, kernel), w.copy())
-    if isinstance(kernel, GaussianKernel) and not math.isfinite(kernel.support_radius):
-        # The update commutes with translation, so center first: the factored
-        # cross term e^{2 ui.uj} then stays within exp range whenever
-        # max |x - mean|^2 / tau^2 is moderate, which covers any cloud whose
-        # spread is within ~26 tau of its mean.
-        mu = x.mean(axis=0)
-        xc = x - mu
-        if float(np.max(np.einsum("ij,ij->i", xc, xc))) < _EXP_ARG_LIMIT * kernel.tau**2:
-            return PointSet(
-                _blurring_tiled_gaussian(xc, w, kernel.tau) + mu, w.copy()
-            )
-    num, den = _reduce_tiled_generic(x, x, w, kernel, self_pairs=True)
-    return PointSet(num / den[:, None], w.copy())
+    num, den, mu = _reduce(x, x, w, kernel, symmetric=True)
+    return PointSet(num / den[:, None] + mu, w.copy())
 
 
 def nonblurring_step(centers: np.ndarray, data: PointSet, kernel: Kernel) -> np.ndarray:
@@ -357,33 +341,25 @@ def nonblurring_step(centers: np.ndarray, data: PointSet, kernel: Kernel) -> np.
         c = c[:, None]
     if c.shape[1] != data.dimension:
         raise ValueError("centers and data must share a dimension")
-    x, w = data.positions, data.weights
-    if c.shape[0] * x.shape[0] <= _DENSE_LIMIT * _DENSE_LIMIT:
-        F = kernel.evaluate_sq(_sq_dists(c, x))
-        num, den = _weighted_average(F, x, w)
-    else:
-        num, den = _reduce_tiled_generic(c, x, w, kernel, self_pairs=False)
+    num, den, mu = _reduce(c, data.positions, data.weights, kernel, symmetric=False)
     zero = np.flatnonzero(den == 0.0)
     if zero.size:
         raise IsolatedCenterError(int(zero[0]))
-    return num / den[:, None]
+    return num / den[:, None] + mu
 
 
 def _max_pairwise_distance(x: np.ndarray) -> float:
-    n = x.shape[0]
-    if n < 2:
-        return 0.0
-    # Distances are shift-invariant; centering first keeps the factorized
+    # Distances are shift-invariant; centering first keeps the expanded
     # form's cancellation error at eps * extent^2 instead of eps * |x|^2,
     # so the reported diameter stays accurate once the cloud has collapsed
     # far from the origin.
     xc = x - x.mean(axis=0)
-    if n <= 4000:
-        return float(np.sqrt(np.max(_sq_dists(xc, xc))))
+    sq = np.einsum("ij,ij->i", xc, xc)
     best = 0.0
-    rows = max(1, int(20_000_000 // n))
-    for i0 in range(0, n, rows):
-        best = max(best, float(np.max(_sq_dists(xc[i0 : i0 + rows], xc))))
+    for i0 in range(0, x.shape[0], _TILE_ROWS):
+        i1 = min(i0 + _TILE_ROWS, x.shape[0])
+        s = sq[i0:i1, None] + sq[None, i0:] - 2.0 * (xc[i0:i1] @ xc[i0:].T)
+        best = max(best, float(s.max()))
     return math.sqrt(best)
 
 
@@ -459,37 +435,34 @@ def run(points: PointSet, config: RunConfig, data: Optional[PointSet] = None):
 
 def _component_labels(x: np.ndarray, tol: float) -> np.ndarray:
     """Connected components of the 'within tol of each other' graph
-    (single linkage), labeled in order of each component's first point."""
+    (single linkage), labeled in order of each component's first point.
+
+    Squared distances are summed from direct coordinate differences: the
+    expanded form's rounding off the origin is far above tol^2 at the
+    default tolerance, and would split collapsed clusters."""
     n = x.shape[0]
     tol_sq = tol * tol
+    coords = np.ascontiguousarray(x.T)
     labels = np.full(n, -1, dtype=int)
-    if n <= _DENSE_LIMIT:
-        adj = _sq_dists(x, x) <= tol_sq
-        k = 0
-        for seed in range(n):
-            if labels[seed] >= 0:
-                continue
-            member = np.zeros(n, dtype=bool)
-            frontier = np.zeros(n, dtype=bool)
-            frontier[seed] = True
-            while frontier.any():
-                member |= frontier
-                frontier = adj[frontier].any(axis=0) & ~member
-            labels[member] = k
-            k += 1
-        return labels
     k = 0
     for seed in range(n):
         if labels[seed] >= 0:
             continue
-        member = np.zeros(n, dtype=bool)
-        frontier = np.zeros(n, dtype=bool)
-        frontier[seed] = True
-        while frontier.any():
-            member |= frontier
-            reach = _sq_dists(x[frontier], x).min(axis=0) <= tol_sq
-            frontier = reach & ~member
-        labels[member] = k
+        labels[seed] = k
+        frontier = np.array([seed])
+        while frontier.size:
+            # only unlabelled points can join: every earlier component is closed
+            rest = np.flatnonzero(labels < 0)
+            reach = np.zeros(rest.size, dtype=bool)
+            for b0 in range(0, frontier.size, _TILE_ROWS):
+                rows = frontier[b0 : b0 + _TILE_ROWS]
+                sq, d = np.zeros((2, rows.size, rest.size))
+                for a, b in zip(coords[:, rows], coords[:, rest]):
+                    np.subtract(a[:, None], b, out=d)
+                    sq += np.square(d, out=d)
+                reach |= (sq <= tol_sq).any(axis=0)
+            frontier = rest[reach]
+            labels[frontier] = k
         k += 1
     return labels
 

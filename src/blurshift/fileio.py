@@ -12,7 +12,6 @@ import csv
 import dataclasses
 import json
 import math
-from typing import Optional
 
 import numpy as np
 
@@ -183,11 +182,7 @@ def config_dict(config) -> dict:
     return out
 
 
-def write_experiment_report_json(
-    path,
-    report: ExperimentReport,
-    extra: Optional[dict] = None,
-) -> None:
+def write_experiment_report_json(path, report: ExperimentReport) -> None:
     """Aggregate experiment report: resolved config, one SummaryStat per
     statistic, and the exclusion accounting."""
     excluded = sorted(
@@ -202,18 +197,12 @@ def write_experiment_report_json(
         "excluded_replications": report.excluded_replications,
         "excluded_indices": excluded,
     }
-    if extra:
-        payload.update(extra)
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
 
 
-def write_convergence_report_json(
-    path,
-    report: ConvergenceRateReport,
-    extra: Optional[dict] = None,
-) -> None:
+def write_convergence_report_json(path, report: ConvergenceRateReport) -> None:
     payload = {"config": config_dict(report.config)}
     for series in (report.blurring, report.nonblurring):
         payload[series.mode] = {
@@ -223,8 +212,6 @@ def write_convergence_report_json(
                 None if math.isinf(v) else v for v in series.log10_stds
             ],
         }
-    if extra:
-        payload.update(extra)
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")

@@ -58,7 +58,7 @@ pytestmark = pytest.mark.acceptance
 # --- criterion 1: closed-form std sequences through the CLI ---------------
 
 def test_criterion_1_reference_sequences(tmp_path):
-    start = time.time()
+    start = time.perf_counter()
     out = tmp_path / "theory.csv"
     assert cli_main(
         ["theory", "--sigma0", "1", "--tau", "2", "--steps", "3",
@@ -85,7 +85,7 @@ def test_criterion_1_reference_sequences(tmp_path):
         and abs(blur[3] - 1.94e-9) < 5e-12
         and np.allclose(fixed[1:], [0.2, 0.04, 0.008], rtol=1e-6)
     )
-    elapsed = time.time() - start
+    elapsed = time.perf_counter() - start
     passed = ok_blur and ok_fixed and ok_digits and elapsed < 1.0
     record_criterion(
         1, passed,
@@ -129,7 +129,7 @@ def test_criterion_2_one_step_shrinkage():
 # --- criterion 3: efficiency table at 2000 replications --------------------
 
 def test_criterion_3_efficiency_table():
-    start = time.time()
+    start = time.perf_counter()
     targets = {
         0.5: (0.1210, 0.2126),
         1.0: (0.1043, 0.1239),
@@ -149,7 +149,7 @@ def test_criterion_3_efficiency_table():
             f"<={rep.nonblurring.std:.4f} (targets {blur_target}/{fixed_target}"
             f" +-0.01, excl {rep.excluded_replications})"
         )
-    elapsed = time.time() - start
+    elapsed = time.perf_counter() - start
     record_criterion(3, ok, "; ".join(details) + f"; {elapsed:.0f}s")
     assert ok, details
 
@@ -157,7 +157,7 @@ def test_criterion_3_efficiency_table():
 # --- criterion 4: robustness table at 2000 replications --------------------
 
 def test_criterion_4_robustness_table():
-    start = time.time()
+    start = time.perf_counter()
     rep_half = run_robustness(
         ExperimentConfig(kind="robustness", tau=0.5, replications=2000, seed=0)
     )
@@ -169,7 +169,7 @@ def test_criterion_4_robustness_table():
         ExperimentConfig(kind="robustness", tau=2.0, replications=2000, seed=0)
     )
     ok_drift = 0.05 <= rep_two.blurring.mean <= 0.13
-    elapsed = time.time() - start
+    elapsed = time.perf_counter() - start
     passed = ok_bias and ok_mode and ok_std and ok_drift
     record_criterion(
         4, passed,
@@ -235,14 +235,14 @@ def battery_results():
 
 
 def test_criterion_5_contraction_battery(battery_results):
-    start = time.time()
+    start = time.perf_counter()
     converged = sum(r["trace"].converged for r in battery_results)
     radius_ok = sum(
         radius_trace(r["trace"]).nonincreasing for r in battery_results
     )
     hullable = [r for r in battery_results if r["dimension"] <= 2]
     nested_ok = sum(hull_trace(r["trace"]).nested for r in hullable)
-    elapsed = time.time() - start
+    elapsed = time.perf_counter() - start
     passed = (
         converged == 200
         and radius_ok == 200
@@ -261,7 +261,7 @@ def test_criterion_5_contraction_battery(battery_results):
 
 
 def test_criterion_6_cluster_count_dichotomy(battery_results):
-    start = time.time()
+    start = time.perf_counter()
     positive = [r for r in battery_results if r["kind"] == "gaussian"]
     single = sum(
         extract_clusters(r["final"]).n_clusters == 1 for r in positive
@@ -292,7 +292,7 @@ def test_criterion_6_cluster_count_dichotomy(battery_results):
             f"{p}d: K={clusters.n_clusters} sizes={clusters.sizes.tolist()} "
             f"cross={influence.max_cross_influence}"
         )
-    elapsed = time.time() - start
+    elapsed = time.perf_counter() - start
     passed = bool(ok_single and ok_blobs and elapsed < 10.0)
     record_criterion(
         6, passed,
@@ -307,7 +307,7 @@ def test_criterion_6_cluster_count_dichotomy(battery_results):
 # --- criterion 7: adaptive oscillation vs frozen weights -------------------
 
 def test_criterion_7_oscillation_and_freezing():
-    start = time.time()
+    start = time.perf_counter()
     trace = run_counterexample(deltas=(0.1, 0.1, 0.1), iterations=50)
     x1 = trace.states[:, 0]
     flips_ok = trace.flip_count() == 50
@@ -324,7 +324,7 @@ def test_criterion_7_oscillation_and_freezing():
             max_iterations=2000,
         )
         frozen_ok &= frozen.converged
-    elapsed = time.time() - start
+    elapsed = time.perf_counter() - start
     passed = flips_ok and magnitude_ok and outer_ok and frozen_ok and elapsed < 1.0
     record_criterion(
         7, passed,
@@ -369,7 +369,7 @@ def _oracle_cases():
 
 
 def test_criterion_8_oracle_equivalence():
-    start = time.time()
+    start = time.perf_counter()
     checked = 0
     for x, w, centers, kernel, profile in _oracle_cases():
         scale = max(1.0, float(np.abs(x).max()), float(np.abs(centers).max()))
@@ -389,7 +389,7 @@ def test_criterion_8_oracle_equivalence():
             got_centers = nonblurring_step(centers, PointSet(x, w), kernel)
             assert np.all(np.abs(got_centers - np.array(oracle_rows)) <= tol)
         checked += 1
-    elapsed = time.time() - start
+    elapsed = time.perf_counter() - start
     passed = checked == 100 and elapsed < 5.0
     record_criterion(
         8, passed,
@@ -403,7 +403,7 @@ def test_criterion_8_oracle_equivalence():
 # --- criterion 9: tightening of the limit point with sample size -----------
 
 def test_criterion_9_consistency_trend():
-    start = time.time()
+    start = time.perf_counter()
     kernel = GaussianKernel(tau=2.0)
     stats = {}
     ok = True
@@ -422,7 +422,7 @@ def test_criterion_9_consistency_trend():
         ok &= abs(stats[n][0]) < 0.02
     stds = [stats[n][1] for n in (100, 400, 1600)]
     ok &= stds[0] > stds[1] > stds[2]
-    elapsed = time.time() - start
+    elapsed = time.perf_counter() - start
     detail = ", ".join(
         f"n={n}: mean {stats[n][0]:+.4f} std {stats[n][1]:.4f}"
         for n in (100, 400, 1600)

@@ -217,6 +217,17 @@ class TestExperiment:
         assert len(rows) == 1 + 3 * kept
         assert echo["config"]["replications"] == 12
 
+    def test_reports_carry_no_workers_key(self, capsys, tmp_path):
+        for kind in ("efficiency", "convergence-rate"):
+            out = tmp_path / f"{kind}.json"
+            code, echo, _ = run_cli(
+                capsys, "experiment", "--kind", kind, "--tau", "2",
+                "--reps", "2", "--out", str(out),
+            )
+            assert code == 0
+            assert "workers" not in json.loads(out.read_text())
+            assert "workers" not in echo["config"]
+
     def test_same_seed_identical_report(self, capsys, tmp_path):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
         for p in paths:

@@ -10,7 +10,6 @@ from blurshift.engine import (
     IsolatedCenterError,
     PointSet,
     RunConfig,
-    _blurring_dense,
     blurring_step,
     extract_clusters,
     majority_mode,
@@ -21,9 +20,12 @@ from blurshift.kernels import GaussianKernel, TabulatedKernel, TruncatedFlatKern
 
 from oracles import (
     as_tuples,
+    dense_blurring_step,
+    dense_nonblurring_step,
     gaussian_profile,
     naive_blurring_step,
     naive_nonblurring_step,
+    single_linkage_labels,
     stepped_profile,
     tabulated_profile,
 )
@@ -183,32 +185,61 @@ class TestAgainstOracle:
         np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-14)
 
 
+# row counts either side of the 256-row and 512-column tile edges
+TILE_EDGES = (255, 256, 257, 511, 512, 513, 769)
+
+
 class TestLargeCloudPaths:
-    """The tiled accumulation paths must agree with the dense matrix path."""
+    """The tiled reducer must agree with the dense reference."""
 
     def test_tiled_gaussian_matches_dense(self):
         rng = np.random.default_rng(42)
-        # all past the dense cutoff; with 256-row blocks, 3001 ends on a partial
-        # block of an even count, 3073 on a one-row block of an odd count, so
-        # the two stripes get unequal block counts
-        for n in (3200, 3001, 3073):
+        # with 256-row blocks, 3001 ends on a partial block of an even count,
+        # 3073 on a one-row block of an odd count, so the two stripes get
+        # unequal block counts
+        for n in (3200, 3001, 3073) + TILE_EDGES:
             for p in (1, 2):
                 x = rng.normal(0.0, 1.0, size=(n, p))
                 w = rng.uniform(0.5, 2.0, size=n)
                 got = blurring_step(PointSet(x, w), GaussianKernel(0.9)).positions
-                want = _blurring_dense(x, w, GaussianKernel(0.9))
+                want = dense_blurring_step(x, w, GaussianKernel(0.9))
                 np.testing.assert_allclose(got, want, rtol=1e-11, atol=1e-13)
 
     def test_tiled_gaussian_thread_count_independent(self, monkeypatch):
+        # thread every step, so that both worker counts run the pool
+        monkeypatch.setattr(engine, "_THREADED_PAIRS", 0)
         rng = np.random.default_rng(47)
         n = 3201
+        kernels = (GaussianKernel(0.9), GaussianKernel(0.9, support_radius=2.7))
         for p in (1, 2):
-            pts = PointSet(rng.normal(0.0, 1.0, size=(n, p)), rng.uniform(0.5, 2.0, n))
-            steps = []
-            for workers in (1, 2):
-                monkeypatch.setattr(engine, "_stripe_workers", lambda k=workers: k)
-                steps.append(blurring_step(pts, GaussianKernel(0.9)).positions)
-            np.testing.assert_array_equal(steps[0], steps[1])
+            x = rng.normal(0.0, 1.0, size=(n, p))
+            pts = PointSet(x, rng.uniform(0.5, 2.0, n))
+            centers = x[:769] + 0.1
+            for kernel in kernels:
+                steps = []
+                for workers in (1, 2):
+                    monkeypatch.setattr(engine, "_stripe_workers", lambda k=workers: k)
+                    steps.append(
+                        (
+                            blurring_step(pts, kernel).positions,
+                            nonblurring_step(centers, pts, kernel),
+                        )
+                    )
+                for a, b in zip(*steps):
+                    np.testing.assert_array_equal(a, b)
+
+    def test_steps_below_threaded_pairs_start_no_threads(self, monkeypatch):
+        def no_threads():
+            raise AssertionError("a step below _THREADED_PAIRS asked for threads")
+
+        monkeypatch.setattr(engine, "_stripe_workers", no_threads)
+        rng = np.random.default_rng(48)
+        x = rng.normal(0.0, 1.0, size=(3201, 2))
+        pts = PointSet(x)
+        assert 3201 * 3201 < engine._THREADED_PAIRS
+        for kernel in (GaussianKernel(0.9), GaussianKernel(0.9, support_radius=2.7)):
+            blurring_step(pts, kernel)
+            nonblurring_step(x[:769], pts, kernel)
 
     def test_wide_cloud_falls_back_and_matches_dense(self):
         # spread large enough that the factored exponentials would overflow
@@ -217,7 +248,7 @@ class TestLargeCloudPaths:
         w = np.ones(3200)
         k = GaussianKernel(0.5)
         got = blurring_step(PointSet(x, w), k).positions
-        want = _blurring_dense(x, w, k)
+        want = dense_blurring_step(x, w, k)
         np.testing.assert_allclose(got, want, rtol=1e-11, atol=1e-10)
 
     def test_tiled_translation_consistency(self):
@@ -230,25 +261,26 @@ class TestLargeCloudPaths:
 
     def test_tiled_truncated_matches_dense(self):
         rng = np.random.default_rng(45)
-        x = rng.normal(0.0, 1.0, size=(3100, 2))
-        w = rng.uniform(0.5, 2.0, size=3100)
         k = GaussianKernel(0.8, support_radius=1.2)
-        got = blurring_step(PointSet(x, w), k).positions
-        want = _blurring_dense(x, w, k)
-        np.testing.assert_allclose(got, want, rtol=1e-11, atol=1e-13)
+        for n in (3100,) + TILE_EDGES:
+            x = rng.normal(0.0, 1.0, size=(n, 2))
+            w = rng.uniform(0.5, 2.0, size=n)
+            got = blurring_step(PointSet(x, w), k).positions
+            want = dense_blurring_step(x, w, k)
+            np.testing.assert_allclose(got, want, rtol=1e-11, atol=1e-13)
 
     def test_tiled_nonblurring_matches_dense(self):
         rng = np.random.default_rng(46)
-        x = rng.normal(0.0, 1.0, size=(20000, 1))
-        data = PointSet(x)
-        centers = rng.normal(0.0, 1.0, size=(600, 1))
-        k = GaussianKernel(1.1)
-        got = nonblurring_step(centers, data, k)
-        from blurshift.engine import _sq_dists, _weighted_average
-
-        F = k.evaluate_sq(_sq_dists(centers, x))
-        num, den = _weighted_average(F, x, data.weights)
-        np.testing.assert_allclose(got, num / den[:, None], rtol=1e-11, atol=1e-13)
+        # (data points, centers, dimension): centers never fill the last
+        # 256-row block, and 1000 data points end on a partial column tile
+        for n, m, p in ((20000, 600, 1), (1000, 769, 2)):
+            x = rng.normal(0.0, 1.0, size=(n, p))
+            data = PointSet(x)
+            centers = rng.normal(0.0, 1.0, size=(m, p))
+            k = GaussianKernel(1.1)
+            got = nonblurring_step(centers, data, k)
+            want = dense_nonblurring_step(centers, x, data.weights, k)
+            np.testing.assert_allclose(got, want, rtol=1e-11, atol=1e-13)
 
 
 class TestIsolation:
@@ -391,6 +423,28 @@ class TestExtractClusters:
         with pytest.raises(ValueError):
             extract_clusters(PointSet(np.array([0.0])), merge_tolerance=-1.0)
 
+    def test_close_pair_off_origin_is_one_cluster(self):
+        # 6.2e-10 apart: the expanded form |a|^2 + |b|^2 - 2 a.b rounds their
+        # squared distance to 3.6e-12 here, above tol^2 = 1e-12
+        x = np.array(
+            [
+                [90.08724998293084, 90.87014484757553],
+                [90.08724998230757, 90.87014484761686],
+            ]
+        )
+        assert extract_clusters(PointSet(x)).labels.tolist() == [0, 0]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_labels_match_single_linkage_oracle(self, seed):
+        # collapsed clumps far from the origin, jittered at the merge
+        # tolerance so that chains form and break
+        rng = np.random.default_rng([seed, 13])
+        p = 1 + seed % 3
+        clumps = rng.uniform(50.0, 1000.0, size=(12, p))
+        x = clumps[rng.integers(12, size=150)] + rng.normal(0.0, 1e-6, (150, p))
+        res = extract_clusters(PointSet(x), merge_tolerance=1e-6)
+        assert res.labels.tolist() == single_linkage_labels(as_tuples(x), 1e-6)
+
     def test_majority_mode_tie_takes_lowest_label(self):
         res = extract_clusters(PointSet(np.array([0.0, 0.0, 5.0, 5.0])), 1e-6)
         assert res.sizes.tolist() == [2, 2]
@@ -472,3 +526,60 @@ class TestStepProperties:
             PointSet(np.array([[2.5, -1.0]]), np.array([0.3])), GaussianKernel(1.0)
         )
         np.testing.assert_allclose(out.positions, [[2.5, -1.0]], rtol=1e-14)
+
+
+TRANSLATION_KERNELS = {
+    "gaussian": lambda tau: GaussianKernel(tau),
+    "truncated": lambda tau: GaussianKernel(tau, support_radius=3.0 * tau),
+}
+
+
+def assert_translation_commutes(mode, kernel, x, w, off):
+    """|step(y + off) - off - step(y)| stays within rounding of the offset
+    and of the cloud's extent, with y built so that y + off is exact."""
+    y = (x + off) - off
+
+    def step(z):
+        ps = PointSet(z, w)
+        if mode == "blurring":
+            return blurring_step(ps, kernel).positions
+        return nonblurring_step(z, ps, kernel)
+
+    extent = float(np.ptp(y, axis=0).max())
+    bound = 4 * np.finfo(float).eps * np.abs(off).max() + 1e-12 * max(1.0, extent)
+    err = float(np.abs(step(y + off) - off - step(y)).max())
+    assert err <= bound, (err, bound)
+
+
+class TestTranslation:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 60),
+        p=st.integers(1, 3),
+        log_tau=st.floats(-3.0, 3.0),
+        spread=st.floats(0.01, 5.0),
+        off=st.lists(st.floats(-1e8, 1e8), min_size=3, max_size=3),
+        mode=st.sampled_from(["blurring", "nonblurring"]),
+        kernel=st.sampled_from(sorted(TRANSLATION_KERNELS)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_steps_commute_with_translation(
+        self, seed, n, p, log_tau, spread, off, mode, kernel
+    ):
+        tau = 10.0**log_tau
+        rng = np.random.default_rng(seed)
+        x = rng.normal(0.0, spread * tau, size=(n, p))
+        w = rng.uniform(0.5, 2.0, size=n)
+        assert_translation_commutes(
+            mode, TRANSLATION_KERNELS[kernel](tau), x, w, np.array(off[:p])
+        )
+
+    @pytest.mark.parametrize("mode", ["blurring", "nonblurring"])
+    @pytest.mark.parametrize("kernel", sorted(TRANSLATION_KERNELS))
+    def test_large_cloud_commutes_with_translation(self, mode, kernel):
+        rng = np.random.default_rng(48)
+        x = rng.normal(0.0, 1.0, size=(3100, 2))
+        w = rng.uniform(0.5, 2.0, size=3100)
+        assert_translation_commutes(
+            mode, TRANSLATION_KERNELS[kernel](0.9), x, w, np.array([1e8, -3.7e7])
+        )
