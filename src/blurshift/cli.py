@@ -148,11 +148,12 @@ def _kernel_config_from_args(args) -> dict:
     return config
 
 
-def _add_engine_flags(parser) -> None:
+def _add_engine_flags(parser, with_mode: bool = True) -> None:
     group = parser.add_argument_group("engine")
-    group.add_argument(
-        "--mode", choices=["blurring", "nonblurring"], default="blurring"
-    )
+    if with_mode:
+        group.add_argument(
+            "--mode", choices=["blurring", "nonblurring"], default="blurring"
+        )
     group.add_argument(
         "--stop-displacement", type=float, default=DEFAULT_STOP_DISPLACEMENT
     )
@@ -164,6 +165,26 @@ def _add_engine_flags(parser) -> None:
 
 def _echo(subcommand: str, config: dict, outputs: dict) -> None:
     print(json.dumps({"subcommand": subcommand, "config": config, "outputs": outputs}))
+
+
+def _run_and_label(args, points, kernel, trace_level: str, data=None):
+    """Run the engine as the engine flags say, then label the final
+    positions. Returns (final, trace, clusters)."""
+    config = RunConfig(
+        kernel=kernel,
+        mode=args.mode,
+        stop_displacement=args.stop_displacement,
+        max_iterations=args.max_iterations,
+        trace_level=trace_level,
+    )
+    final, trace = run(points, config, data=data)
+    clusters = extract_clusters(
+        final,
+        merge_tolerance=args.merge_tolerance,
+        converged=trace.converged,
+        iterations_used=trace.iterations,
+    )
+    return final, trace, clusters
 
 
 def _cmd_cluster(args) -> None:
@@ -181,20 +202,7 @@ def _cmd_cluster(args) -> None:
     trace_level = args.trace_level
     if args.trace is not None and trace_level == "none":
         raise ValueError("--trace needs a trace level of summary or full")
-    config = RunConfig(
-        kernel=kernel,
-        mode=args.mode,
-        stop_displacement=args.stop_displacement,
-        max_iterations=args.max_iterations,
-        trace_level=trace_level,
-    )
-    final, trace = run(points, config, data=data)
-    clusters = extract_clusters(
-        final,
-        merge_tolerance=args.merge_tolerance,
-        converged=trace.converged,
-        iterations_used=trace.iterations,
-    )
+    final, trace, clusters = _run_and_label(args, points, kernel, trace_level, data)
     resolved = {
         "input": args.input,
         "data": args.data,
@@ -273,20 +281,7 @@ def _cmd_experiment(args) -> None:
 def _cmd_diagnose(args) -> None:
     points = fileio.read_points_csv(args.input)
     kernel = kernel_from_config(_kernel_config_from_args(args))
-    config = RunConfig(
-        kernel=kernel,
-        mode=args.mode,
-        stop_displacement=args.stop_displacement,
-        max_iterations=args.max_iterations,
-        trace_level="full",
-    )
-    final, trace = run(points, config)
-    clusters = extract_clusters(
-        final,
-        merge_tolerance=args.merge_tolerance,
-        converged=trace.converged,
-        iterations_used=trace.iterations,
-    )
+    _, trace, clusters = _run_and_label(args, points, kernel, "full")
     checks = [c.strip() for c in args.checks.split(",") if c.strip()]
     known = {"radius", "hull", "directional", "influence"}
     unknown = set(checks) - known - {"auto"}
@@ -418,14 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     experiment.add_argument("--out", required=True, help="report JSON")
     experiment.add_argument("--emit-csv", help="long-format raw values CSV")
-    group = experiment.add_argument_group("engine")
-    group.add_argument(
-        "--stop-displacement", type=float, default=DEFAULT_STOP_DISPLACEMENT
-    )
-    group.add_argument("--max-iterations", type=int, default=DEFAULT_MAX_ITERATIONS)
-    group.add_argument(
-        "--merge-tolerance", type=float, default=DEFAULT_MERGE_TOLERANCE
-    )
+    _add_engine_flags(experiment, with_mode=False)
     experiment.set_defaults(func=_cmd_experiment)
 
     diagnose = sub.add_parser(

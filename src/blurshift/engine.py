@@ -14,7 +14,8 @@ of the cloud. Every pair is evaluated exactly, no neighbor pruning. The
 reducer centres the cloud on its mean, so results commute with translation
 up to rounding of the cloud's extent, and accumulates the sums over
 cache-sized tiles in a fixed order; an untruncated Gaussian takes a
-factorised tile that needs no distances.
+factorised tile that needs no distances, and every other kernel overwrites
+the tile's squared distances with influences in place.
 
 Row blocks of the tiles are dealt round-robin to a fixed number of stripes.
 Each stripe sums its tiles in a fixed order into its own accumulator, and
@@ -218,10 +219,10 @@ def _stripe_workers() -> int:
 def _reduce(
     targets: np.ndarray, x: np.ndarray, w: np.ndarray, kernel: Kernel, symmetric: bool
 ):
-    """Influence-weighted sums of the rows of (w x, w) at each target.
+    """New positions of the targets: the influence-weighted means of x.
 
-    Returns (num, den, mu): num (m, p) is about the data mean mu, so the
-    update is num / den + mu. With symmetric=True the targets are x itself:
+    Raises IsolatedCenterError for the first target that collects zero
+    influence. With symmetric=True the targets are x itself:
     each pair is evaluated once, every off-diagonal tile is also scattered
     transposed into its column rows, and the self pair enters with influence
     exactly f(0) = 1.
@@ -231,8 +232,8 @@ def _reduce(
     untruncated Gaussian whose centred spread keeps every exponent within
     ``_EXP_ARG_LIMIT`` is factorised, exp(-|u - v|^2) =
     e^{-|u|^2} e^{-|v|^2} e^{2 u.v}, so a tile costs one product and one
-    exp; any other kernel gets ``kernel.evaluate_sq`` of the centred
-    expanded squared distances.
+    exp; for any other kernel ``kernel._fill_sq`` overwrites the tile of
+    centred expanded squared distances, clamped at 0, with influences.
 
     Row block b of ``_TILE_ROWS`` targets goes to stripe b mod ``_STRIPES``;
     each stripe walks its blocks in order, in tiles of ``_TILE_COLS``
@@ -281,7 +282,8 @@ def _reduce(
         np.maximum(z, 0.0, out=z)
         if symmetric and i0 == j0:
             np.fill_diagonal(z, 0.0)
-        return kernel.evaluate_sq(z)
+        kernel._fill_sq(z)
+        return z
 
     def stripe(s: int) -> np.ndarray:
         acc = np.zeros((m, p + 1))
@@ -315,7 +317,10 @@ def _reduce(
         acc += part
     if factored:
         acc *= (a if symmetric else np.exp(tt / (-2.0 * kernel.tau**2)))[:, None]
-    return acc[:, :p], acc[:, p], mu
+    zero = np.flatnonzero(acc[:, p] == 0.0)
+    if zero.size:
+        raise IsolatedCenterError(int(zero[0]))
+    return acc[:, :p] / acc[:, p, None] + mu
 
 
 def blurring_step(points: PointSet, kernel: Kernel) -> PointSet:
@@ -326,8 +331,7 @@ def blurring_step(points: PointSet, kernel: Kernel) -> PointSet:
     influence exactly 1, so denominators are always positive.
     """
     x, w = points.positions, points.weights
-    num, den, mu = _reduce(x, x, w, kernel, symmetric=True)
-    return PointSet(num / den[:, None] + mu, w.copy())
+    return PointSet(_reduce(x, x, w, kernel, symmetric=True), w.copy())
 
 
 def nonblurring_step(centers: np.ndarray, data: PointSet, kernel: Kernel) -> np.ndarray:
@@ -341,11 +345,7 @@ def nonblurring_step(centers: np.ndarray, data: PointSet, kernel: Kernel) -> np.
         c = c[:, None]
     if c.shape[1] != data.dimension:
         raise ValueError("centers and data must share a dimension")
-    num, den, mu = _reduce(c, data.positions, data.weights, kernel, symmetric=False)
-    zero = np.flatnonzero(den == 0.0)
-    if zero.size:
-        raise IsolatedCenterError(int(zero[0]))
-    return num / den[:, None] + mu
+    return _reduce(c, data.positions, data.weights, kernel, symmetric=False)
 
 
 def _max_pairwise_distance(x: np.ndarray) -> float:
@@ -378,49 +378,44 @@ def run(points: PointSet, config: RunConfig, data: Optional[PointSet] = None):
     ``data`` (defaulting to the same cloud, centers start on the data).
 
     Returns (final PointSet, IterationTrace). Exhausting the iteration
-    budget is not an error; the trace's ``converged`` flag reports it.
+    budget is not an error; the trace's ``converged`` flag reports it. The
+    inputs are checked here once; the steps run on bare arrays.
     """
-    if config.mode == "blurring":
-        if data is not None:
-            raise ValueError("blurring mode does not take separate data")
-        fixed = None
-    else:
-        fixed = data if data is not None else points
+    symmetric = config.mode == "blurring"
+    if symmetric and data is not None:
+        raise ValueError("blurring mode does not take separate data")
+    fixed = points if data is None else data
+    if fixed.dimension != points.dimension:
+        raise ValueError("centers and data must share a dimension")
     x = points.positions.copy()
     w = points.weights.copy()
-    tracing = config.trace_level != "none"
-    full = config.trace_level == "full"
     records = []
-    if tracing:
-        records.append(
-            TraceRecord(
-                iteration=0,
-                max_displacement=math.nan,
-                radius=_max_pairwise_distance(x),
-                stds=_cloud_stds(x),
-                positions=x.copy() if full else None,
-            )
-        )
-    converged = False
-    iterations = 0
-    for t in range(1, config.max_iterations + 1):
-        if config.mode == "blurring":
-            new_x = blurring_step(PointSet(x, w), config.kernel).positions
-        else:
-            new_x = nonblurring_step(x, fixed, config.kernel)
-        disp = float(np.sqrt(np.max(np.einsum("ij,ij->i", new_x - x, new_x - x))))
-        x = new_x
-        iterations = t
-        if tracing:
+
+    def record(t: int, disp: float, x: np.ndarray) -> None:
+        if config.trace_level != "none":
             records.append(
                 TraceRecord(
                     iteration=t,
                     max_displacement=disp,
                     radius=_max_pairwise_distance(x),
                     stds=_cloud_stds(x),
-                    positions=x.copy() if full else None,
+                    positions=x.copy() if config.trace_level == "full" else None,
                 )
             )
+
+    record(0, math.nan, x)
+    converged = False
+    iterations = 0
+    for t in range(1, config.max_iterations + 1):
+        if symmetric:
+            new_x = _reduce(x, x, w, config.kernel, symmetric=True)
+        else:
+            new_x = _reduce(x, fixed.positions, fixed.weights, config.kernel, symmetric=False)
+        step = new_x - x
+        disp = float(np.sqrt(np.max(np.einsum("ij,ij->i", step, step))))
+        x = new_x
+        iterations = t
+        record(t, disp, x)
         if disp < config.stop_displacement:
             converged = True
             break

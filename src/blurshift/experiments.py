@@ -18,7 +18,7 @@ how replications are scheduled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -394,14 +394,7 @@ def run_convergence_rate(config: ExperimentConfig) -> ConvergenceRateReport:
     points = sample_gaussian(config.n_points, 0.0, 1.0, rng)
 
     def series(mode: str) -> ConvergenceSeries:
-        cfg = RunConfig(
-            kernel=config.kernel(),
-            mode=mode,
-            stop_displacement=config.stop_displacement,
-            max_iterations=config.max_iterations,
-            trace_level="full",
-        )
-        _, trace = run(points, cfg)
+        _, trace = run(points, replace(config.engine_config(mode), trace_level="full"))
         positions = trace.positions_list()
         means = np.array([float(x[:, 0].mean()) for x in positions])
         stds = np.array([float(x[:, 0].std(ddof=1)) for x in positions])

@@ -46,7 +46,9 @@ def _as_distances(d):
 
 
 class Kernel:
-    """Base interface. Subclasses implement ``_profile_sq`` on squared distances."""
+    """Base interface. Subclasses implement ``_fill_sq``, which overwrites a
+    float array of nonnegative squared distances with their influences in
+    place, support cutoff included; the engine calls it on its own tiles."""
 
     support_radius: float
 
@@ -55,35 +57,20 @@ class Kernel:
 
         Accepts a scalar or an array; negative distances raise ValueError.
         """
-        scalar = np.ndim(distances) == 0
-        arr = np.atleast_1d(_as_distances(distances))
-        sq = arr * arr
-        out = np.asarray(self._profile_sq(sq), dtype=float)
-        self._apply_cutoff_sq(sq, out)
-        if scalar:
-            return float(out[0])
-        return out
+        d = _as_distances(distances)
+        return self.evaluate_sq(d * d)
 
     def evaluate_sq(self, sq_distances):
-        """Influence from squared distances. Same values as
-        ``evaluate(sqrt(sq_distances))`` up to rounding; lets the engine skip
-        the square root on hot paths."""
+        """Influence from squared distances: ``evaluate(d)`` is exactly
+        ``evaluate_sq(d * d)``. Negative values raise ValueError."""
         scalar = np.ndim(sq_distances) == 0
-        arr = np.atleast_1d(np.asarray(sq_distances, dtype=float))
-        if np.any(arr < 0):
+        out = np.atleast_1d(np.array(sq_distances, dtype=float))
+        if np.any(out < 0):
             raise ValueError("squared distances must be nonnegative")
-        out = np.asarray(self._profile_sq(arr), dtype=float)
-        self._apply_cutoff_sq(arr, out)
-        if scalar:
-            return float(out[0])
-        return out
+        self._fill_sq(out)
+        return float(out[0]) if scalar else out
 
-    def _apply_cutoff_sq(self, sq, out):
-        r = self.support_radius
-        if math.isfinite(r):
-            np.copyto(out, 0.0, where=sq > r * r)
-
-    def _profile_sq(self, sq):  # pragma: no cover - abstract
+    def _fill_sq(self, z):  # pragma: no cover - abstract
         raise NotImplementedError
 
 
@@ -105,8 +92,18 @@ class GaussianKernel(Kernel):
         if not self.support_radius > 0:
             raise ValueError("support_radius must be positive")
 
-    def _profile_sq(self, sq):
-        return np.exp(sq / (-2.0 * self.tau * self.tau))
+    def _fill_sq(self, z):
+        r = self.support_radius
+        keep = None
+        if math.isfinite(r):
+            # entries past the cutoff are zeroed below; clamping them first
+            # keeps exp off its slow path for large negative arguments
+            keep = z <= r * r
+            np.minimum(z, r * r, out=z)
+        np.divide(z, -2.0 * self.tau * self.tau, out=z)
+        np.exp(z, out=z)
+        if keep is not None:
+            np.multiply(z, keep, out=z)
 
 
 @dataclass(frozen=True)
@@ -139,8 +136,6 @@ class TruncatedFlatKernel(Kernel):
         if thresholds[0] == 0.0 and values[0] != 1.0:
             raise ValueError("a level at threshold 0 must have value 1")
         object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "_thresholds_sq", np.array(thresholds) ** 2)
-        object.__setattr__(self, "_values", np.array(values))
         intrinsic = 0.0
         for t, v in levels:
             if v > 0:
@@ -153,14 +148,19 @@ class TruncatedFlatKernel(Kernel):
             object.__setattr__(
                 self, "support_radius", min(self.support_radius, intrinsic)
             )
-
-    def _profile_sq(self, sq):
-        idx = np.searchsorted(self._thresholds_sq, sq, side="left")
-        out = np.where(
-            idx < len(self._values), self._values[np.minimum(idx, len(self._values) - 1)], 0.0
+        # squared interval bounds and the influence on each: 1 at 0 exactly,
+        # level k on (t_{k-1}^2, t_k^2], the level holding the support radius
+        # r on its last stretch up to r^2, and 0 beyond r^2
+        r_sq = self.support_radius * self.support_radius
+        t_sq = np.array(thresholds) ** 2
+        k = int(np.count_nonzero(t_sq < r_sq))
+        object.__setattr__(self, "_bounds_sq", np.r_[0.0, t_sq[:k], r_sq])
+        object.__setattr__(
+            self, "_table", np.r_[1.0, values[:k], values[k] if k < len(values) else 0.0, 0.0]
         )
-        out = np.where(sq == 0.0, 1.0, out)
-        return np.asarray(out, dtype=float)
+
+    def _fill_sq(self, z):
+        np.take(self._table, np.searchsorted(self._bounds_sq, z), out=z, mode="clip")
 
 
 @dataclass(frozen=True)
@@ -206,8 +206,12 @@ class TabulatedKernel(Kernel):
                 self, "support_radius", min(self.support_radius, intrinsic)
             )
 
-    def _profile_sq(self, sq):
-        return np.interp(np.sqrt(sq), self._ds, self._vs)
+    def _fill_sq(self, z):
+        r = self.support_radius
+        keep = z <= r * r if math.isfinite(r) else None
+        z[...] = np.interp(np.sqrt(z), self._ds, self._vs)
+        if keep is not None:
+            np.multiply(z, keep, out=z)
 
 
 @dataclass(frozen=True)

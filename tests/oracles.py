@@ -149,3 +149,22 @@ def dense_nonblurring_step(centers, x, w, kernel):
     """Nonblurring step of centers against x from the full influence matrix."""
     F = kernel.evaluate_sq(dense_sq_dists(centers, x))
     return (F @ (w[:, None] * x)) / (F @ w)[:, None]
+
+
+def influence_sq(kernel, sq):
+    """Influence at each squared distance, from the family's definition:
+    one elementwise formula and one np.where per level and per cutoff, on
+    the kernel's parameters alone. Same floating-point operations as the
+    definition, so the package should agree bit for bit."""
+    if hasattr(kernel, "tau"):
+        f = np.exp(sq / (-2.0 * kernel.tau * kernel.tau))
+    elif hasattr(kernel, "levels"):
+        f = np.zeros_like(sq)
+        for t, v in reversed(kernel.levels):
+            f = np.where(sq <= t * t, v, f)
+        f = np.where(sq == 0.0, 1.0, f)
+    else:
+        ds, vs = zip(*kernel.knots)
+        f = np.interp(np.sqrt(sq), ds, vs)
+    r = kernel.support_radius
+    return np.where(sq > r * r, 0.0, f)

@@ -6,6 +6,9 @@ the artifacts on disk and the machine-readable error surface.
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -418,3 +421,21 @@ class TestErrorSurface:
     def test_parser_builds(self):
         parser = build_parser()
         assert parser.prog == "blurshift"
+
+
+def test_import_loads_neither_logging_nor_thread_pool():
+    # the engine imports its thread pool only for steps that use one:
+    # concurrent.futures pulls in logging, a cost on every CLI start
+    import blurshift
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(blurshift.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys, blurshift.cli; "
+        "print([m for m in ('logging', 'concurrent.futures') if m in sys.modules])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.strip() == "[]"

@@ -23,6 +23,7 @@ from oracles import (
     dense_blurring_step,
     dense_nonblurring_step,
     gaussian_profile,
+    influence_sq,
     naive_blurring_step,
     naive_nonblurring_step,
     single_linkage_labels,
@@ -283,6 +284,88 @@ class TestLargeCloudPaths:
             np.testing.assert_allclose(got, want, rtol=1e-11, atol=1e-13)
 
 
+def tiles_seen(kernel, step):
+    """(squared distances, influences) of every tile that the reducer hands
+    to ``kernel._fill_sq`` while ``step()`` runs."""
+    seen = []
+    fill = kernel._fill_sq
+
+    def spy(z):
+        sq = z.copy()
+        fill(z)
+        seen.append((sq, z.copy()))
+
+    # kernels are frozen dataclasses: shadow the method on this instance only
+    object.__setattr__(kernel, "_fill_sq", spy)
+    try:
+        step()
+    finally:
+        object.__delattr__(kernel, "_fill_sq")
+    return seen
+
+
+class TestTileInfluence:
+    """Each tile of influences in the reducer is ``evaluate_sq`` of its
+    squared distances, and the family's definition of them, bit for bit."""
+
+    KERNELS = (
+        GaussianKernel(0.7),
+        GaussianKernel(0.7, support_radius=2.1),
+        TruncatedFlatKernel(levels=((1.0, 0.5), (2.0, 0.25))),
+        TruncatedFlatKernel(levels=((0.0, 1.0), (1.5, 0.5), (3.0, 0.2))),
+        # cut below the last threshold, inside the (1, 2] level
+        TruncatedFlatKernel(levels=((1.0, 0.5), (2.0, 0.25), (3.0, 0.1)), support_radius=1.5),
+        TabulatedKernel(knots=((0.0, 1.0), (1.0, 0.6), (2.5, 0.1))),
+        TabulatedKernel(knots=((0.0, 1.0), (1.0, 0.6), (2.5, 0.1)), support_radius=1.7),
+    )
+
+    def clouds(self):
+        rng = np.random.default_rng(61)
+        narrow = rng.normal(0.0, 1.0, size=(700, 2)) + 40.0
+        # near-coincident points, whose expanded squared distances can
+        # round below 0 before the reducer's clamp
+        narrow[500:540] = narrow[7] + rng.normal(0.0, 1e-9, size=(40, 2))
+        # integer coordinates about an exact mean keep the expanded form
+        # exact, so the duplicates give squared distances of exactly 0
+        grid = rng.integers(-6, 7, size=(512, 2)).astype(float)
+        grid -= grid.mean(axis=0)
+        wide = rng.uniform(0.0, 100.0, size=(700, 2))
+        line = rng.normal(0.0, 1.0, size=(700, 1))
+        line[400:420] = line[3]
+        return {"narrow": narrow, "grid": grid, "wide": wide, "line": line}
+
+    def assert_tiles_match(self, kernel, x, symmetric):
+        w = np.random.default_rng(62).uniform(0.5, 2.0, x.shape[0])
+        pts = PointSet(x, w)
+        if symmetric:
+            seen = tiles_seen(kernel, lambda: blurring_step(pts, kernel))
+        else:
+            seen = tiles_seen(kernel, lambda: nonblurring_step(x[::2] + 0.01, pts, kernel))
+        assert seen
+        for sq, influence in seen:
+            assert sq.min() >= 0.0
+            assert influence.tobytes() == kernel.evaluate_sq(sq).tobytes()
+            assert influence.tobytes() == influence_sq(kernel, sq).tobytes()
+        return np.concatenate([sq.ravel() for sq, _ in seen])
+
+    @pytest.mark.parametrize("symmetric", [True, False])
+    @pytest.mark.parametrize("cloud", ["narrow", "grid", "wide", "line"])
+    def test_tiles_equal_evaluate_sq(self, cloud, symmetric):
+        x = self.clouds()[cloud]
+        for kernel in self.KERNELS:
+            if cloud != "wide" and kernel == GaussianKernel(0.7):
+                continue  # the factorised tile, which never calls the kernel
+            sq = self.assert_tiles_match(kernel, x, symmetric)
+            r = kernel.support_radius
+            if cloud != "line" and math.isfinite(r):
+                # tiles straddle the cutoff
+                assert (sq <= r * r).any() and (sq > r * r).any()
+            if cloud in ("grid", "line") and symmetric:
+                # more exact zeros than the pinned self pairs: coincident
+                # points off the diagonal
+                assert np.count_nonzero(sq == 0.0) > x.shape[0]
+
+
 class TestIsolation:
     def test_isolated_center_raises_with_index(self):
         data = PointSet(np.array([0.0, 0.5]))
@@ -365,6 +448,62 @@ class TestRun:
         )
         assert trace.converged
         np.testing.assert_allclose(final.positions.ravel(), [0.5, 0.5], atol=1e-8)
+
+    @pytest.mark.parametrize("mode", ["blurring", "nonblurring"])
+    def test_run_matches_hand_iterated_steps(self, mode):
+        rng = np.random.default_rng(63)
+        x = np.vstack([rng.normal(0.0, 1.0, (150, 2)), rng.normal(4.0, 1.0, (150, 2))])
+        w = rng.uniform(0.5, 2.0, 300)
+        data = PointSet(x, w)
+        for kernel in (GaussianKernel(0.6), GaussianKernel(0.6, support_radius=1.8)):
+            cfg = RunConfig(kernel=kernel, mode=mode, max_iterations=40)
+            final, trace = run(data, cfg)
+            cur, disps, converged = x, [math.nan], False
+            states = [x]
+            for _ in range(cfg.max_iterations):
+                if mode == "blurring":
+                    new = blurring_step(PointSet(cur, w), kernel).positions
+                else:
+                    new = nonblurring_step(cur, data, kernel)
+                d = new - cur
+                disps.append(float(np.sqrt(np.max(np.einsum("ij,ij->i", d, d)))))
+                cur = new
+                states.append(cur)
+                if disps[-1] < cfg.stop_displacement:
+                    converged = True
+                    break
+            assert trace.iterations == len(states) - 1 > 1
+            assert trace.converged == converged
+            assert final.positions.tobytes() == cur.tobytes()
+            assert final.weights.tobytes() == w.tobytes()
+            radii = [engine._max_pairwise_distance(s) for s in states]
+            assert trace.radii().tobytes() == np.array(radii).tobytes()
+            np.testing.assert_array_equal(trace.max_displacements(), disps)
+
+    def test_run_builds_no_point_set_per_iteration(self, monkeypatch):
+        built = []
+        post_init = PointSet.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(PointSet, "__post_init__", counting)
+        rng = np.random.default_rng(64)
+        # two blobs six bandwidths apart drift together for far longer than
+        # 50 iterations; the centres settle to within rounding, not below it
+        ps = PointSet(np.r_[rng.normal(-3.0, 0.3, 20), rng.normal(3.0, 0.3, 20)])
+        for mode in ("blurring", "nonblurring"):
+            built.clear()
+            cfg = RunConfig(
+                kernel=GaussianKernel(1.0),
+                mode=mode,
+                stop_displacement=1e-300,
+                max_iterations=50,
+            )
+            _, trace = run(ps, cfg)
+            assert trace.iterations == 50 and not trace.converged
+            assert len(built) <= 2, (mode, len(built))
 
     def test_nonblurring_with_separate_centers(self):
         rng = np.random.default_rng(8)

@@ -15,7 +15,20 @@ from blurshift.kernels import (
     verify_profile,
 )
 
-from oracles import gaussian_profile, stepped_profile
+from oracles import gaussian_profile, influence_sq, stepped_profile, tabulated_profile
+
+
+# one kernel of each family, with and without a cutoff, including a flat
+# kernel whose first threshold is above 0 and one cut below its last threshold
+EVERY_FAMILY = (
+    GaussianKernel(tau=0.7),
+    GaussianKernel(tau=0.7, support_radius=2.0),
+    TruncatedFlatKernel(levels=((0.0, 1.0), (1.0, 0.5))),
+    TruncatedFlatKernel(levels=((1.0, 0.5), (2.0, 0.25))),
+    TruncatedFlatKernel(levels=((1.0, 0.5), (2.0, 0.25), (3.0, 0.1)), support_radius=1.5),
+    TabulatedKernel(knots=((0.0, 1.0), (1.0, 0.5), (2.5, 0.1))),
+    TabulatedKernel(knots=((0.0, 1.0), (1.0, 0.5), (2.5, 0.1)), support_radius=1.7),
+)
 
 
 class TestGaussian:
@@ -54,9 +67,13 @@ class TestGaussian:
         assert k.evaluate(10.0) == 0.0
 
     def test_evaluate_sq_matches_evaluate(self):
-        k = GaussianKernel(tau=0.7, support_radius=2.0)
-        d = np.linspace(0, 4, 57)
-        assert np.allclose(k.evaluate_sq(d * d), k.evaluate(d), rtol=1e-13)
+        # evaluate(d) is evaluate_sq(d * d) bit for bit, for every family,
+        # on arrays and on scalars
+        d = np.r_[np.linspace(0, 4, 57), 2.0, np.nextafter(2.0, 3.0), 1e-160, 40.0]
+        for k in EVERY_FAMILY:
+            assert k.evaluate(d).tobytes() == k.evaluate_sq(d * d).tobytes()
+            for v in d[::7]:
+                assert k.evaluate(float(v)) == k.evaluate_sq(float(v) * float(v))
 
     @given(
         tau=st.floats(0.05, 50),
@@ -115,6 +132,17 @@ class TestTruncatedFlat:
         with pytest.raises(ValueError):
             TruncatedFlatKernel(levels=levels)
 
+    def test_support_below_last_threshold_matches_scalar_reference(self):
+        # the cut at 1.5 falls inside the (1, 2] level and drops the levels
+        # beyond it
+        levels = ((1.0, 0.5), (2.0, 0.25), (3.0, 0.1))
+        k = TruncatedFlatKernel(levels=levels, support_radius=1.5)
+        ref = stepped_profile(((1.0, 0.5), (1.5, 0.25)))
+        d = np.r_[np.linspace(0, 3.5, 141), np.nextafter(1.5, 2.0), np.nextafter(1.0, 2.0)]
+        want = np.array([ref(float(v)) for v in d])
+        assert np.array_equal(k.evaluate(d), want)
+        assert k.evaluate_sq(2.25) == 0.25 and k.evaluate_sq(np.nextafter(2.25, 3.0)) == 0.0
+
     def test_matches_scalar_reference(self):
         levels = ((0.5, 0.8), (1.5, 0.3), (4.0, 0.05))
         k = TruncatedFlatKernel(levels=levels)
@@ -132,6 +160,15 @@ class TestTabulated:
         # last value holds beyond the final knot
         assert k.evaluate(5.0) == 0.5
         assert math.isinf(k.support_radius)
+
+    def test_cutoff_matches_scalar_reference(self):
+        knots = ((0.0, 1.0), (1.0, 0.5), (2.5, 0.1))
+        k = TabulatedKernel(knots=knots, support_radius=1.7)
+        ref = tabulated_profile(knots)
+        d = np.r_[np.linspace(0, 4, 81), 1.7, np.nextafter(1.7, 2.0)]
+        want = np.array([ref(float(v)) if v * v <= 1.7 * 1.7 else 0.0 for v in d])
+        np.testing.assert_allclose(k.evaluate(d), want, rtol=1e-15, atol=0)
+        assert k.evaluate(np.nextafter(1.7, 2.0)) == 0.0 and k.evaluate(1.7) > 0.0
 
     def test_terminal_zero_sets_support(self):
         k = TabulatedKernel(knots=((0.0, 1.0), (1.0, 0.25), (2.0, 0.0)))
@@ -220,3 +257,9 @@ def test_gaussian_agrees_with_scalar_reference():
     d = np.linspace(0, 4, 81)
     want = np.array([ref(float(v)) for v in d])
     assert np.allclose(k.evaluate(d), want, rtol=1e-14, atol=0)
+
+
+def test_evaluate_sq_matches_definition():
+    sq = np.r_[np.linspace(0, 16, 321), 2.25, 4.41, np.nextafter(4.0, 5.0), 1e-300, 1e300]
+    for k in EVERY_FAMILY:
+        assert k.evaluate_sq(sq).tobytes() == influence_sq(k, sq).tobytes()
