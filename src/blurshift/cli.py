@@ -37,6 +37,7 @@ from .engine import (
 from .experiments import (
     AUTO,
     ExperimentConfig,
+    TooFewConvergedError,
     run_convergence_rate,
     run_efficiency,
     run_robustness,
@@ -56,6 +57,7 @@ _ERROR_CODES = (
     (fileio.DimensionMismatchError, "dimension-mismatch"),
     (IsolatedCenterError, "isolated-center"),
     (CounterexampleBreakdownError, "counterexample-breakdown"),
+    (TooFewConvergedError, "too-few-converged"),
     (FileNotFoundError, "missing-input"),
     (IsADirectoryError, "missing-input"),
     (PermissionError, "missing-input"),

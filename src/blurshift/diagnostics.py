@@ -28,6 +28,7 @@ from .engine import (
     blurring_step,
     run,
 )
+from .engine import _TILE_ROWS, _sq_dists
 from .kernels import Kernel, TruncatedFlatKernel
 
 __all__ = [
@@ -276,25 +277,18 @@ def influence_decay(
     Once clusters separate beyond the kernel support this is exactly 0 and
     they evolve independently; a single cluster makes the check vacuous.
     """
-    positions = _positions_from(trace)
-    final = positions[-1]
-    labels = result.labels
-    if final.shape[0] != labels.shape[0]:
+    final = _positions_from(trace)[-1]
+    if final.shape[0] != result.labels.shape[0]:
         raise ValueError("trace and cluster result disagree on the number of points")
     if result.n_clusters < 2:
         return InfluenceReport(max_cross_influence=0.0, pair=None, vacuous=True)
-    best = -1.0
-    pair = None
-    for i in range(final.shape[0]):
-        other = labels != labels[i]
-        if not other.any():
-            continue
-        d = np.linalg.norm(final[other] - final[i], axis=1)
-        vals = kernel.evaluate(d)
-        j_local = int(np.argmax(vals))
-        if float(vals[j_local]) > best:
-            best = float(vals[j_local])
-            pair = (i, int(np.flatnonzero(other)[j_local]))
+    best, pair = -1.0, None
+    for i0 in range(0, final.shape[0], _TILE_ROWS):
+        f = kernel.evaluate_sq(_sq_dists(final[i0 : i0 + _TILE_ROWS], final))
+        f[result.labels[i0 : i0 + _TILE_ROWS, None] == result.labels] = -1.0
+        i, j = np.unravel_index(np.argmax(f), f.shape)
+        if f[i, j] > best:  # ties keep the first pair in row-major order
+            best, pair = float(f[i, j]), (i0 + int(i), int(j))
     return InfluenceReport(max_cross_influence=best, pair=pair, vacuous=False)
 
 

@@ -249,10 +249,13 @@ def _reduce(
     tc = xc if symmetric else targets - mu
     xx = np.einsum("ij,ij->i", xc, xc)
     tt = xx if symmetric else np.einsum("ij,ij->i", tc, tc)
+    spread = max(xx.max(initial=0.0), tt.max(initial=0.0))
+    if not math.isfinite(spread):
+        raise ValueError("the cloud is too wide: squared distances from its mean overflow")
     factored = (
         isinstance(kernel, GaussianKernel)
         and not math.isfinite(kernel.support_radius)
-        and max(xx.max(initial=0.0), tt.max(initial=0.0)) < _EXP_ARG_LIMIT * kernel.tau**2
+        and spread < _EXP_ARG_LIMIT * kernel.tau**2
     )
     V = np.empty((n, p + 1))
     if factored:
@@ -348,18 +351,37 @@ def nonblurring_step(centers: np.ndarray, data: PointSet, kernel: Kernel) -> np.
     return _reduce(c, data.positions, data.weights, kernel, symmetric=False)
 
 
+def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(len(a), len(b)) squared distances between the rows of a and b,
+    summed dimension by dimension from direct differences. Their rounding
+    scales with the distances themselves, not with |a|^2 + |b|^2 as in the
+    expanded form, so points that have collapsed far from the origin keep
+    their tiny distances. The trace radius, the cluster labels and the
+    influence check all take their distances from here."""
+    sq, d = np.zeros((2, a.shape[0], b.shape[0]))
+    for ad, bd in zip(a.T, b.T):
+        np.subtract(ad[:, None], bd, out=d)
+        sq += np.square(d, out=d)
+    return sq
+
+
 def _max_pairwise_distance(x: np.ndarray) -> float:
-    # Distances are shift-invariant; centering first keeps the expanded
-    # form's cancellation error at eps * extent^2 instead of eps * |x|^2,
-    # so the reported diameter stays accurate once the cloud has collapsed
-    # far from the origin.
-    xc = x - x.mean(axis=0)
-    sq = np.einsum("ij,ij->i", xc, xc)
-    best = 0.0
-    for i0 in range(0, x.shape[0], _TILE_ROWS):
-        i1 = min(i0 + _TILE_ROWS, x.shape[0])
-        s = sq[i0:i1, None] + sq[None, i0:] - 2.0 * (xc[i0:i1] @ xc[i0:].T)
-        best = max(best, float(s.max()))
+    """Largest pairwise distance, exactly the largest of ``_sq_dists``.
+
+    With r the distances to the mean, both ends of a diameter D lie at
+    least D - max r from it, and D is at least ``lower``, the largest
+    distance from the point farthest out; so only rows with
+    r >= lower - max r are compared pairwise. The slack covers the
+    rounding of r, lower and D, which scales with max r and p, and
+    underflow of the squares."""
+    fi = np.finfo(float)
+    r = np.sqrt(_sq_dists(x, x.mean(axis=0)[None])[:, 0])
+    far = int(np.argmax(r))
+    best = float(_sq_dists(x[far, None], x).max())
+    slack = (x.shape[1] + 2) * (8.0 * fi.eps * r[far] + math.sqrt(fi.tiny))
+    keep = x[r >= math.sqrt(best) - r[far] - slack]
+    for i0 in range(0, keep.shape[0], _TILE_ROWS):
+        best = max(best, float(_sq_dists(keep[i0 : i0 + _TILE_ROWS], keep[i0:]).max()))
     return math.sqrt(best)
 
 
@@ -432,12 +454,11 @@ def _component_labels(x: np.ndarray, tol: float) -> np.ndarray:
     """Connected components of the 'within tol of each other' graph
     (single linkage), labeled in order of each component's first point.
 
-    Squared distances are summed from direct coordinate differences: the
-    expanded form's rounding off the origin is far above tol^2 at the
-    default tolerance, and would split collapsed clusters."""
+    Squared distances come from ``_sq_dists``: the expanded form's
+    rounding off the origin is far above tol^2 at the default tolerance,
+    and would split collapsed clusters."""
     n = x.shape[0]
     tol_sq = tol * tol
-    coords = np.ascontiguousarray(x.T)
     labels = np.full(n, -1, dtype=int)
     k = 0
     for seed in range(n):
@@ -448,14 +469,12 @@ def _component_labels(x: np.ndarray, tol: float) -> np.ndarray:
         while frontier.size:
             # only unlabelled points can join: every earlier component is closed
             rest = np.flatnonzero(labels < 0)
+            # take, not x[rest]: numpy's fancy indexing copies rows several
+            # times slower, and rest is most of the cloud
+            xr = x.take(rest, axis=0)
             reach = np.zeros(rest.size, dtype=bool)
             for b0 in range(0, frontier.size, _TILE_ROWS):
-                rows = frontier[b0 : b0 + _TILE_ROWS]
-                sq, d = np.zeros((2, rows.size, rest.size))
-                for a, b in zip(coords[:, rows], coords[:, rest]):
-                    np.subtract(a[:, None], b, out=d)
-                    sq += np.square(d, out=d)
-                reach |= (sq <= tol_sq).any(axis=0)
+                reach |= (_sq_dists(x[frontier[b0 : b0 + _TILE_ROWS]], xr) <= tol_sq).any(axis=0)
             frontier = rest[reach]
             labels[frontier] = k
         k += 1

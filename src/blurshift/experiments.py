@@ -47,9 +47,24 @@ __all__ = [
     "run_efficiency",
     "run_robustness",
     "run_convergence_rate",
+    "TooFewConvergedError",
 ]
 
 EXPERIMENT_KINDS = ("efficiency", "robustness", "convergence_rate")
+
+
+class TooFewConvergedError(RuntimeError):
+    """Fewer than two replications converged in both modes, so there is no
+    spread to summarize."""
+
+    def __init__(self, converged: int, replications: int):
+        self.converged = int(converged)
+        self.replications = int(replications)
+        super().__init__(
+            f"{converged} of {replications} replications converged in both modes; "
+            "at least two are needed to summarize"
+        )
+
 
 # Sentinel: resolve the truncation per experiment kind (see ExperimentConfig).
 AUTO = "auto"
@@ -338,9 +353,7 @@ def _run_comparison(config: ExperimentConfig, draw) -> ExperimentReport:
             )
         )
     if len(sample_means) < 2:
-        raise RuntimeError(
-            "fewer than two replications converged; nothing to summarize"
-        )
+        raise TooFewConvergedError(len(sample_means), config.replications)
     values = {
         "sample_mean": np.array(sample_means),
         "blurring": np.array(blur_vals),

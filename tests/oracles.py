@@ -105,6 +105,32 @@ def sq_dist(a, b):
     return s
 
 
+def naive_diameter(x):
+    """Largest pairwise distance over the list of coordinate tuples x, by a
+    double loop over sq_dist. Not over euclid: its ``** 2`` goes through the
+    C library's pow, which need not round a square as d * d does."""
+    best = 0.0
+    for i in range(len(x)):
+        for j in range(i + 1, len(x)):
+            best = max(best, sq_dist(x[i], x[j]))
+    return math.sqrt(best)
+
+
+def naive_max_cross_influence(x, labels, kernel):
+    """Largest influence between two points of the coordinate tuples x with
+    different labels, and the first pair (i, j) in row-major order that
+    attains it; (-1.0, None) when every label is the same. Each influence is
+    influence_sq of the pair's sq_dist."""
+    best, pair = -1.0, None
+    for i in range(len(x)):
+        for j in range(len(x)):
+            if labels[i] != labels[j]:
+                v = float(influence_sq(kernel, np.array(sq_dist(x[i], x[j]))))
+                if v > best:
+                    best, pair = v, (i, j)
+    return best, pair
+
+
 def single_linkage_labels(x, tol):
     """Components of the 'within tol of each other' graph over the list of
     coordinate tuples x, labelled in order of each component's first point.

@@ -418,6 +418,24 @@ class TestErrorSurface:
         assert _error_code(DimensionMismatchError("x")) == "dimension-mismatch"
         assert _error_code(KeyError("x")) == "internal-error"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--kind", "robustness", "--tau", "0.5", "--reps", "3", "--max-iterations", "50"],
+            ["--kind", "efficiency", "--tau", "1", "--reps", "1"],
+        ],
+    )
+    def test_too_few_converged(self, capsys, tmp_path, argv):
+        code = main(["experiment", *argv, "--out", str(tmp_path / "r.json")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"]["code"] == "too-few-converged"
+        assert not (tmp_path / "r.json").exists()
+
     def test_parser_builds(self):
         parser = build_parser()
         assert parser.prog == "blurshift"

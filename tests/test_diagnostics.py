@@ -17,6 +17,7 @@ from blurshift.diagnostics import (
 )
 from blurshift.diagnostics import _hull_2d, _point_in_hull_2d
 from blurshift.engine import (
+    ClusterResult,
     IterationTrace,
     PointSet,
     RunConfig,
@@ -24,7 +25,9 @@ from blurshift.engine import (
     extract_clusters,
     run,
 )
-from blurshift.kernels import GaussianKernel, TruncatedFlatKernel
+from blurshift.kernels import GaussianKernel, TabulatedKernel, TruncatedFlatKernel
+
+from oracles import as_tuples, naive_max_cross_influence
 
 
 def full_run(x, kernel, weights=None, max_iterations=500):
@@ -245,6 +248,60 @@ class TestInfluenceDecay:
         bad = extract_clusters(PointSet(np.zeros((3, 1))), merge_tolerance=1.0)
         with pytest.raises(ValueError):
             influence_decay(trace, kernel, bad)
+
+    KERNELS = {
+        "gaussian": GaussianKernel(0.8),
+        "truncated": GaussianKernel(0.8, support_radius=1.5),
+        "flat": TruncatedFlatKernel(levels=((1.0, 0.5), (2.0, 0.25))),
+        # rises again past distance 1, so the nearest pair is not the answer
+        "tabulated": TabulatedKernel(
+            knots=((0.0, 1.0), (1.0, 0.1), (2.0, 0.8), (3.0, 0.0))
+        ),
+    }
+
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_scalar_oracle(self, kernel, seed):
+        # integer grids give exact distance ties, which the flat kernel
+        # turns into value ties; both label kinds leave many pairs tied
+        rng = np.random.default_rng([seed, 71])
+        n, p = (40, 50, 60, 300)[seed], 1 + seed % 3
+        if seed % 2:
+            x = rng.integers(0, 4, size=(n, p)) * 0.75 + 40.0
+        else:
+            x = rng.normal(0.0, 1.5, size=(n, p)) + 40.0
+        if seed < 2:
+            labels = rng.integers(0, 3, size=n)
+        else:
+            labels = extract_clusters(PointSet(x), merge_tolerance=0.6).labels
+        result = ClusterResult(
+            labels=labels,
+            centers=np.zeros((int(labels.max()) + 1, p)),
+            sizes=np.bincount(labels),
+            converged=True,
+            iterations_used=0,
+        )
+        assert result.n_clusters >= 2
+        rep = influence_decay(synthetic_trace([x]), self.KERNELS[kernel], result)
+        want = naive_max_cross_influence(as_tuples(x), labels.tolist(), self.KERNELS[kernel])
+        assert (rep.max_cross_influence, rep.pair) == want
+
+    def test_pair_found_past_the_first_row_block(self):
+        x = np.arange(300.0)[:, None] * 3.0
+        x[299] = x[298] + 0.5
+        labels = np.arange(300) % 2
+        result = ClusterResult(
+            labels=labels,
+            centers=np.zeros((2, 1)),
+            sizes=np.bincount(labels),
+            converged=True,
+            iterations_used=0,
+        )
+        kernel = GaussianKernel(0.8)
+        rep = influence_decay(synthetic_trace([x]), kernel, result)
+        assert rep.pair == (298, 299)
+        want = naive_max_cross_influence(as_tuples(x), labels.tolist(), kernel)
+        assert (rep.max_cross_influence, rep.pair) == want
 
 
 class TestOscillationKernel:

@@ -25,6 +25,7 @@ from oracles import (
     gaussian_profile,
     influence_sq,
     naive_blurring_step,
+    naive_diameter,
     naive_nonblurring_step,
     single_linkage_labels,
     stepped_profile,
@@ -381,6 +382,13 @@ class TestIsolation:
         out = blurring_step(PointSet(x), k)
         np.testing.assert_allclose(out.positions.ravel(), x)
 
+    def test_steps_report_overflowing_spread(self):
+        wide = np.array([0.0, 1e160, 3e160])
+        with pytest.raises(ValueError, match="overflow"):
+            blurring_step(PointSet(wide), GaussianKernel(1.0))
+        with pytest.raises(ValueError, match="overflow"):
+            nonblurring_step(wide, PointSet(wide), GaussianKernel(1.0))
+
     def test_dimension_mismatch(self):
         data = PointSet(np.zeros((3, 2)))
         with pytest.raises(ValueError):
@@ -505,6 +513,15 @@ class TestRun:
             assert trace.iterations == 50 and not trace.converged
             assert len(built) <= 2, (mode, len(built))
 
+    @pytest.mark.parametrize("mode", ["blurring", "nonblurring"])
+    @pytest.mark.parametrize("trace_level", ["summary", "none"])
+    def test_overflowing_spread_names_its_cause(self, mode, trace_level):
+        # finite input whose squared distances exceed the float range
+        cfg = RunConfig(kernel=GaussianKernel(1.0), mode=mode, trace_level=trace_level)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="overflow"):
+                run(PointSet(np.array([0.0, 1e160, 3e160])), cfg)
+
     def test_nonblurring_with_separate_centers(self):
         rng = np.random.default_rng(8)
         data = PointSet(rng.normal(size=(60, 1)))
@@ -588,6 +605,95 @@ class TestExtractClusters:
         res = extract_clusters(PointSet(np.array([0.0, 0.0, 5.0, 5.0])), 1e-6)
         assert res.sizes.tolist() == [2, 2]
         np.testing.assert_allclose(majority_mode(res), [0.0])
+
+
+@st.composite
+def diameter_clouds(draw):
+    """Clouds with many near-ties for the diameter, scaled and moved off
+    the origin."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, p = draw(st.integers(1, 60)), draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["normal", "collapsed", "duplicates", "sphere", "mean"]))
+    if kind == "normal":
+        x = rng.normal(size=(n, p))
+    elif kind == "collapsed":
+        x = rng.normal(size=(3, p))[rng.integers(3, size=n)]
+        x += 10.0 ** draw(st.floats(-14.0, -6.0)) * rng.normal(size=(n, p))
+    elif kind == "duplicates":
+        k = max(1, n // 4)
+        x = rng.normal(size=(k, p))[rng.integers(k, size=n)]
+    elif kind == "sphere":
+        v = rng.normal(size=(n, p))
+        x = v / np.linalg.norm(v, axis=1)[:, None]
+        x += 10.0 ** draw(st.floats(-15.0, -3.0)) * rng.normal(size=(n, p))
+    else:
+        # integers symmetric about a point of the cloud: the mean is that
+        # point exactly, here and after the integer offset below
+        half = rng.integers(-5, 6, size=(n // 2, p)).astype(float)
+        x = np.vstack([half, -half, np.zeros((1, p))])
+        return x + np.array(draw(st.lists(st.integers(-10**8, 10**8), min_size=p, max_size=p)))
+    scale = 10.0 ** draw(st.floats(-6.0, 6.0))
+    off = np.array(draw(st.lists(st.floats(-1e8, 1e8), min_size=p, max_size=p)))
+    return x * scale + off
+
+
+class TestDiameter:
+    @given(x=diameter_clouds())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_naive_diameter(self, x):
+        assert engine._max_pairwise_distance(x) == naive_diameter(as_tuples(x))
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            [[5.0, -3.0]],
+            [[1e8], [1e8]],
+            # squares of these differences underflow into the subnormals
+            [[-1e-162], [0.0], [1e-162], [3e-163]],
+            [[-0.5e-162], [-1.5e-162], [1.5e-162], [0.5e-162]],
+            # the point farthest from the mean ends no diameter, and the
+            # diameter's ends sit on the pruning bound up to rounding
+            [
+                [0.11330627636063025, 0.05921619163202139, -0.41280251723077005],
+                [0.11330627698459662, 0.05921619260375013, -0.41280251692010966],
+                [-0.02124504973474698, -0.01110310029108143, 0.07740091931348779],
+                [-0.10268375180523995, -0.053664641972345044, 0.37410205741869595],
+                [-0.10268375180523995, -0.053664641972345044, 0.37410205741869595],
+            ],
+            [
+                [919.5666381938512, -1000.5491623273168],
+                [919.5666383255349, -1000.5491612195815],
+                [-166.95985977299324, -871.3866736619627],
+                [-493.73974961776844, -832.5402174178514],
+                [-493.73974961776844, -832.5402174178514],
+            ],
+        ],
+    )
+    def test_edge_clouds_equal_naive_diameter(self, x):
+        x = np.array(x)
+        assert engine._max_pairwise_distance(x) == naive_diameter(as_tuples(x))
+
+    def test_blob_cloud_compares_few_pairs(self, monkeypatch):
+        pairs = []
+        sq_dists = engine._sq_dists
+
+        def counting(a, b):
+            pairs.append(a.shape[0] * b.shape[0])
+            return sq_dists(a, b)
+
+        rng = np.random.default_rng(65)
+        grid = np.array([(i, j) for i in range(10) for j in range(10)], float) * 10.0
+        x = np.repeat(grid, 50, axis=0) + rng.normal(0.0, 0.5, (5000, 2)) + [300.0, 700.0]
+        monkeypatch.setattr(engine, "_sq_dists", counting)
+        got = engine._max_pairwise_distance(x)
+        monkeypatch.undo()
+        assert sum(pairs) < 0.01 * 5000**2, sum(pairs)
+        best = 0.0
+        for i0 in range(0, 5000, 500):
+            d0 = x[i0 : i0 + 500, 0, None] - x[:, 0]
+            d1 = x[i0 : i0 + 500, 1, None] - x[:, 1]
+            best = max(best, float((d0 * d0 + d1 * d1).max()))
+        assert got == math.sqrt(best)
 
 
 coords = st.floats(-50.0, 50.0)
