@@ -11,6 +11,7 @@ Environment: BLURSHIFT_SEED overrides the default --seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -180,13 +181,7 @@ def _run_and_label(args, points, kernel, trace_level: str, data=None):
         trace_level=trace_level,
     )
     final, trace = run(points, config, data=data)
-    clusters = extract_clusters(
-        final,
-        merge_tolerance=args.merge_tolerance,
-        converged=trace.converged,
-        iterations_used=trace.iterations,
-    )
-    return final, trace, clusters
+    return final, trace, extract_clusters(final, args.merge_tolerance)
 
 
 def _cmd_cluster(args) -> None:
@@ -215,7 +210,7 @@ def _cmd_cluster(args) -> None:
         "merge_tolerance": args.merge_tolerance,
         "trace_level": trace_level,
     }
-    fileio.write_result_json(args.output, final, clusters, resolved)
+    fileio.write_result_json(args.output, final, clusters, trace, resolved)
     outputs = {"result": args.output}
     if args.trace is not None:
         fileio.write_trace_csv(args.trace, trace)
@@ -285,12 +280,18 @@ def _cmd_diagnose(args) -> None:
     kernel = kernel_from_config(_kernel_config_from_args(args))
     _, trace, clusters = _run_and_label(args, points, kernel, "full")
     checks = [c.strip() for c in args.checks.split(",") if c.strip()]
-    known = {"radius", "hull", "directional", "influence"}
-    unknown = set(checks) - known - {"auto"}
+    runners = {
+        "radius": lambda: radius_trace(trace),
+        "hull": lambda: hull_trace(trace),
+        "directional": lambda: directional_containment(
+            trace, n_directions=args.n_directions, seed=args.direction_seed
+        ),
+        "influence": lambda: influence_decay(trace, kernel, clusters),
+    }
+    unknown = set(checks) - set(runners) - {"auto"}
     if unknown:
         raise ValueError(f"unknown checks: {sorted(unknown)}")
-    auto = checks == ["auto"]
-    if auto:
+    if checks == ["auto"]:
         checks = ["radius", "directional", "influence"]
         if points.dimension <= 2:
             checks.append("hull")
@@ -299,36 +300,15 @@ def _cmd_diagnose(args) -> None:
         "iterations": trace.iterations,
         "n_clusters": clusters.n_clusters,
     }
-    if "radius" in checks:
-        rad = radius_trace(trace)
-        report["radius"] = {
-            "nonincreasing": rad.nonincreasing,
-            "first_violation": rad.first_violation,
-        }
-    if "hull" in checks:
-        hulls = hull_trace(trace)
-        report["hull"] = {
-            "dimension": hulls.dimension,
-            "nested": hulls.nested,
-            "first_violation": hulls.first_violation,
-        }
-    if "directional" in checks:
-        direct = directional_containment(
-            trace, n_directions=args.n_directions, seed=args.direction_seed
-        )
-        report["directional"] = {
-            "n_directions": direct.n_directions,
-            "contained": direct.contained,
-            "first_violation": direct.first_violation,
-            "max_overshoot": direct.max_overshoot,
-        }
-    if "influence" in checks:
-        infl = influence_decay(trace, kernel, clusters)
-        report["influence"] = {
-            "max_cross_influence": infl.max_cross_influence,
-            "pair": list(infl.pair) if infl.pair is not None else None,
-            "vacuous": infl.vacuous,
-        }
+    for name, check in runners.items():
+        if name in checks:
+            # every report field but the per-iteration series, in field order
+            found = check()
+            report[name] = {
+                f.name: getattr(found, f.name)
+                for f in dataclasses.fields(found)
+                if f.name not in ("radii", "hulls")
+            }
     resolved = {
         "input": args.input,
         "mode": args.mode,

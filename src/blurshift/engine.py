@@ -199,8 +199,6 @@ class ClusterResult:
     labels: np.ndarray  # (n,) cluster index per point, 0-based
     centers: np.ndarray  # (k, p) weighted mean of each cluster
     sizes: np.ndarray  # (k,) member counts
-    converged: bool
-    iterations_used: int
 
     @property
     def n_clusters(self) -> int:
@@ -425,18 +423,19 @@ def run(points: PointSet, config: RunConfig, data: Optional[PointSet] = None):
                 )
             )
 
-    record(0, math.nan, x)
     converged = False
-    iterations = 0
     for t in range(1, config.max_iterations + 1):
         if symmetric:
             new_x = _reduce(x, x, w, config.kernel, symmetric=True)
         else:
             new_x = _reduce(x, fixed.positions, fixed.weights, config.kernel, symmetric=False)
+        if t == 1:
+            # only now: the first step rejects a cloud too wide to measure
+            # before its radius and stds overflow
+            record(0, math.nan, x)
         step = new_x - x
         disp = float(np.sqrt(np.max(np.einsum("ij,ij->i", step, step))))
         x = new_x
-        iterations = t
         record(t, disp, x)
         if disp < config.stop_displacement:
             converged = True
@@ -445,7 +444,7 @@ def run(points: PointSet, config: RunConfig, data: Optional[PointSet] = None):
         records=records,
         trace_level=config.trace_level,
         converged=converged,
-        iterations=iterations,
+        iterations=t,
     )
     return PointSet(x, w), trace
 
@@ -482,36 +481,23 @@ def _component_labels(x: np.ndarray, tol: float) -> np.ndarray:
 
 
 def extract_clusters(
-    final: PointSet,
-    merge_tolerance: float = DEFAULT_MERGE_TOLERANCE,
-    converged: bool = True,
-    iterations_used: int = 0,
+    final: PointSet, merge_tolerance: float = DEFAULT_MERGE_TOLERANCE
 ) -> ClusterResult:
     """Group the final positions by single linkage at ``merge_tolerance``.
 
     Two points share a cluster when a chain of pairwise-close points links
     them. Cluster labels follow the first member's index, so label 0 always
-    contains point 0. Centers are weight-averaged member positions.
+    contains point 0. Centers are weight-averaged member positions, summed
+    in point order in one pass over the labels. Whether the run converged
+    is on its trace.
     """
     if not merge_tolerance >= 0:
         raise ValueError("merge_tolerance must be nonnegative")
     x, w = final.positions, final.weights
     labels = _component_labels(x, merge_tolerance)
-    k = int(labels.max()) + 1
-    centers = np.empty((k, x.shape[1]))
-    sizes = np.empty(k, dtype=int)
-    for c in range(k):
-        m = labels == c
-        wc = w[m]
-        centers[c] = (wc[:, None] * x[m]).sum(axis=0) / wc.sum()
-        sizes[c] = int(m.sum())
-    return ClusterResult(
-        labels=labels,
-        centers=centers,
-        sizes=sizes,
-        converged=converged,
-        iterations_used=iterations_used,
-    )
+    sums = np.column_stack([np.bincount(labels, weights=w * xd) for xd in x.T])
+    centers = sums / np.bincount(labels, weights=w)[:, None]
+    return ClusterResult(labels=labels, centers=centers, sizes=np.bincount(labels))
 
 
 def majority_mode(result: ClusterResult) -> np.ndarray:

@@ -313,58 +313,36 @@ def sample_mixture(mixture: MixtureSpec, n: int, rng: np.random.Generator):
     return PointSet(x), np.array(labels)
 
 
-def _majority_mode_coordinate(final, merge_tolerance, converged, iterations) -> float:
-    result = extract_clusters(
-        final,
-        merge_tolerance=merge_tolerance,
-        converged=converged,
-        iterations_used=iterations,
-    )
-    return float(majority_mode(result)[0])
-
-
 def _run_comparison(config: ExperimentConfig, draw) -> ExperimentReport:
     """Shared replication loop: draw a sample, run both modes on the same
-    sample, record the three location statistics. Replications whose engine
-    run exhausts the iteration budget are counted and excluded."""
-    sample_means = []
-    blur_vals = []
-    fixed_vals = []
+    sample, record the three location statistics. A replication whose
+    engine run exhausts the iteration budget is counted and excluded; the
+    modes run in order and stop at the first that does."""
+    values = {"sample_mean": [], "blurring": [], "nonblurring": []}
     kept = []
-    excluded = 0
     for rep in range(config.replications):
-        rng = replication_rng(config.seed, rep)
-        points = draw(rng)
-        blur_final, blur_trace = run(points, config.engine_config("blurring"))
-        fixed_final, fixed_trace = run(points, config.engine_config("nonblurring"))
-        if not (blur_trace.converged and fixed_trace.converged):
-            excluded += 1
-            continue
-        kept.append(rep)
-        sample_means.append(float(points.positions[:, 0].mean()))
-        blur_vals.append(
-            _majority_mode_coordinate(
-                blur_final, config.merge_tolerance, True, blur_trace.iterations
-            )
-        )
-        fixed_vals.append(
-            _majority_mode_coordinate(
-                fixed_final, config.merge_tolerance, True, fixed_trace.iterations
-            )
-        )
-    if len(sample_means) < 2:
-        raise TooFewConvergedError(len(sample_means), config.replications)
-    values = {
-        "sample_mean": np.array(sample_means),
-        "blurring": np.array(blur_vals),
-        "nonblurring": np.array(fixed_vals),
-    }
+        points = draw(replication_rng(config.seed, rep))
+        finals = {}
+        for mode in ("blurring", "nonblurring"):
+            final, trace = run(points, config.engine_config(mode))
+            if not trace.converged:
+                break
+            finals[mode] = final
+        else:
+            kept.append(rep)
+            values["sample_mean"].append(float(points.positions[:, 0].mean()))
+            for mode, final in finals.items():
+                centre = majority_mode(extract_clusters(final, config.merge_tolerance))
+                values[mode].append(float(centre[0]))
+    if len(kept) < 2:
+        raise TooFewConvergedError(len(kept), config.replications)
+    values = {name: np.array(v) for name, v in values.items()}
     return ExperimentReport(
         config=config,
         sample_mean=summarize(values["sample_mean"]),
         blurring=summarize(values["blurring"]),
         nonblurring=summarize(values["nonblurring"]),
-        excluded_replications=excluded,
+        excluded_replications=config.replications - len(kept),
         values=values,
         replication_indices=np.array(kept, dtype=int),
     )

@@ -101,10 +101,12 @@ def write_result_json(
     path,
     final: PointSet,
     clusters: ClusterResult,
+    trace: IterationTrace,
     config_echo: dict,
 ) -> None:
-    """Clustering output: final positions, cluster assignment, and the
-    fully resolved configuration that produced them."""
+    """Clustering output: final positions, cluster assignment, how the run
+    ended (from its trace), and the fully resolved configuration that
+    produced them."""
     payload = {
         "final_positions": final.positions.tolist(),
         "weights": final.weights.tolist(),
@@ -112,8 +114,8 @@ def write_result_json(
         "centers": clusters.centers.tolist(),
         "sizes": clusters.sizes.tolist(),
         "n_clusters": clusters.n_clusters,
-        "iterations_used": clusters.iterations_used,
-        "converged": clusters.converged,
+        "iterations_used": trace.iterations,
+        "converged": trace.converged,
         "config": config_echo,
     }
     with open(path, "w") as fh:

@@ -15,7 +15,7 @@ import numpy as np
 
 
 def euclid(a, b):
-    return math.sqrt(sum((ai - bi) ** 2 for ai, bi in zip(a, b)))
+    return math.sqrt(sq_dist(a, b))
 
 
 def naive_blurring_step(x, w, f):
@@ -107,8 +107,7 @@ def sq_dist(a, b):
 
 def naive_diameter(x):
     """Largest pairwise distance over the list of coordinate tuples x, by a
-    double loop over sq_dist. Not over euclid: its ``** 2`` goes through the
-    C library's pow, which need not round a square as d * d does."""
+    double loop over sq_dist, the square of euclid before its root."""
     best = 0.0
     for i in range(len(x)):
         for j in range(i + 1, len(x)):
@@ -152,6 +151,21 @@ def single_linkage_labels(x, tol):
                     stack.append(j)
         k += 1
     return labels
+
+
+def naive_cluster_centres(x, w, labels):
+    """Weighted mean of each label's members over the coordinate tuples x,
+    every coordinate sum and weight sum exactly rounded by math.fsum, and
+    the member count per label. Labels run from 0 to k - 1."""
+    centres, sizes = [], []
+    for c in range(max(labels) + 1):
+        members = [i for i in range(len(x)) if labels[i] == c]
+        mass = math.fsum(w[i] for i in members)
+        centres.append(
+            tuple(math.fsum(w[i] * x[i][d] for i in members) / mass for d in range(len(x[0])))
+        )
+        sizes.append(len(members))
+    return centres, sizes
 
 
 def dense_sq_dists(a, b):

@@ -39,6 +39,16 @@ def run_cli(capsys, *argv):
     return code, stdout, stderr
 
 
+def src_env() -> dict:
+    """This environment with the tested package first on PYTHONPATH."""
+    import blurshift
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(blurshift.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 @pytest.fixture
 def sample_csv(tmp_path):
     rng = np.random.default_rng(0)
@@ -435,6 +445,22 @@ class TestErrorSurface:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"]["code"] == "too-few-converged"
         assert not (tmp_path / "r.json").exists()
+
+    def test_overflowing_spread_is_one_error_line(self, tmp_path):
+        # a subprocess, so numpy's warnings would reach stderr as they do
+        # for a user, not pytest's warning capture
+        pts = write(tmp_path / "wide.csv", "0\n1e160\n3e160\n")
+        out = subprocess.run(
+            [sys.executable, "-m", "blurshift", "cluster", "--input", pts,
+             "--output", str(tmp_path / "r.json"), "--tau", "1"],
+            capture_output=True, text=True, env=src_env(),
+        )
+        assert out.returncode == 1
+        assert out.stdout == ""
+        lines = out.stderr.splitlines()
+        assert len(lines) == 1, out.stderr
+        assert json.loads(lines[0])["error"]["code"] == "invalid-argument"
+        assert "overflow" in json.loads(lines[0])["error"]["message"]
 
     def test_parser_builds(self):
         parser = build_parser()

@@ -208,7 +208,7 @@ class TestInfluenceDecay:
         x = np.concatenate([np.linspace(-0.1, 0.1, 8), np.linspace(5.9, 6.1, 5)])
         kernel = TruncatedFlatKernel(levels=((1.0, 0.5),))
         final, trace = full_run(x, kernel)
-        result = extract_clusters(final, converged=trace.converged)
+        result = extract_clusters(final)
         return trace, kernel, result
 
     def test_separated_blobs_zero_influence(self):
@@ -236,7 +236,7 @@ class TestInfluenceDecay:
     def test_single_cluster_vacuous(self):
         rng = np.random.default_rng(7)
         final, trace = full_run(rng.normal(size=(12, 1)), GaussianKernel(2.0))
-        result = extract_clusters(final, converged=trace.converged)
+        result = extract_clusters(final)
         assert result.n_clusters == 1
         rep = influence_decay(trace, GaussianKernel(2.0), result)
         assert rep.vacuous
@@ -278,8 +278,6 @@ class TestInfluenceDecay:
             labels=labels,
             centers=np.zeros((int(labels.max()) + 1, p)),
             sizes=np.bincount(labels),
-            converged=True,
-            iterations_used=0,
         )
         assert result.n_clusters >= 2
         rep = influence_decay(synthetic_trace([x]), self.KERNELS[kernel], result)
@@ -294,8 +292,6 @@ class TestInfluenceDecay:
             labels=labels,
             centers=np.zeros((2, 1)),
             sizes=np.bincount(labels),
-            converged=True,
-            iterations_used=0,
         )
         kernel = GaussianKernel(0.8)
         rep = influence_decay(synthetic_trace([x]), kernel, result)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -25,6 +26,7 @@ from oracles import (
     gaussian_profile,
     influence_sq,
     naive_blurring_step,
+    naive_cluster_centres,
     naive_diameter,
     naive_nonblurring_step,
     single_linkage_labels,
@@ -518,9 +520,8 @@ class TestRun:
     def test_overflowing_spread_names_its_cause(self, mode, trace_level):
         # finite input whose squared distances exceed the float range
         cfg = RunConfig(kernel=GaussianKernel(1.0), mode=mode, trace_level=trace_level)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ValueError, match="overflow"):
-                run(PointSet(np.array([0.0, 1e160, 3e160])), cfg)
+        with pytest.raises(ValueError, match="overflow"):
+            run(PointSet(np.array([0.0, 1e160, 3e160])), cfg)
 
     def test_nonblurring_with_separate_centers(self):
         rng = np.random.default_rng(8)
@@ -543,14 +544,12 @@ class TestExtractClusters:
         b = rng.normal(10.0, 0.3, size=(20, 1))
         ps = PointSet(np.vstack([a, b]))
         final, trace = run(ps, RunConfig(kernel=GaussianKernel(0.8)))
-        res = extract_clusters(
-            final, converged=trace.converged, iterations_used=trace.iterations
-        )
+        res = extract_clusters(final)
         assert res.n_clusters == 2
         assert res.sizes.tolist() == [30, 20]
         assert np.array_equal(res.labels[:30], np.zeros(30, dtype=int))
         assert np.array_equal(res.labels[30:], np.ones(20, dtype=int))
-        assert res.converged and res.iterations_used == trace.iterations
+        assert trace.converged
 
     def test_label_order_follows_first_member(self):
         # first point belongs to the far blob, so the far blob is cluster 0
@@ -600,6 +599,28 @@ class TestExtractClusters:
         x = clumps[rng.integers(12, size=150)] + rng.normal(0.0, 1e-6, (150, p))
         res = extract_clusters(PointSet(x), merge_tolerance=1e-6)
         assert res.labels.tolist() == single_linkage_labels(as_tuples(x), 1e-6)
+
+    @pytest.mark.parametrize("k", [1, 7, 40, 100])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_centres_and_sizes_match_exact_sum_oracle(self, k, seed):
+        # collapsed clumps off the origin with unequal weights, plus points
+        # of their own: one-point clusters among up to k + 10 clusters
+        rng = np.random.default_rng([seed, k, 29])
+        p = 1 + (seed + k) % 3
+        clumps = rng.uniform(50.0, 1000.0, size=(k + 10, p))
+        members = np.concatenate([rng.integers(k, size=3 * k), np.arange(k, k + 10)])
+        x = clumps[members] + rng.normal(0.0, 1e-8, size=(members.size, p))
+        w = rng.uniform(0.1, 10.0, size=members.size)
+        res = extract_clusters(PointSet(x, w), merge_tolerance=1e-6)
+        assert res.n_clusters == np.unique(members).size
+        centres, sizes = naive_cluster_centres(as_tuples(x), w.tolist(), res.labels.tolist())
+        assert res.sizes.tolist() == sizes
+        assert 1 in sizes
+        np.testing.assert_allclose(res.centers, np.array(centres), rtol=1e-14, atol=0.0)
+
+    def test_result_holds_only_the_clustering(self):
+        res = extract_clusters(PointSet(np.array([0.0, 5.0])), 1e-6)
+        assert [f.name for f in dataclasses.fields(res)] == ["labels", "centers", "sizes"]
 
     def test_majority_mode_tie_takes_lowest_label(self):
         res = extract_clusters(PointSet(np.array([0.0, 0.0, 5.0, 5.0])), 1e-6)

@@ -10,6 +10,8 @@ import math
 import numpy as np
 import pytest
 
+from blurshift import experiments
+from blurshift.engine import extract_clusters, majority_mode, run
 from blurshift.experiments import (
     AUTO,
     DEFAULT_ROBUSTNESS_TRUNCATION,
@@ -259,6 +261,46 @@ class TestRunEfficiency:
         assert rep.excluded_replications >= 1
         assert rep.blurring.count + rep.excluded_replications == 60
         assert rep.values["blurring"].size == rep.blurring.count
+
+    def test_capped_blurring_skips_nonblurring(self, monkeypatch):
+        # at this budget some replications cap in blurring, some only in
+        # nonblurring, and some converge in both
+        cfg = ExperimentConfig(
+            kind="efficiency", tau=0.5, n_points=30, replications=12, seed=0,
+            max_iterations=80,
+        )
+        calls = []
+
+        def counted_run(points, config, data=None):
+            final, trace = run(points, config, data)
+            calls.append((config.mode, trace.converged))
+            return final, trace
+
+        monkeypatch.setattr(experiments, "run", counted_run)
+        rep = run_efficiency(cfg)
+        # reference: both modes on every replication, excluded unless both converge
+        want_calls, kept = [], []
+        values = {"sample_mean": [], "blurring": [], "nonblurring": []}
+        for r in range(cfg.replications):
+            points = sample_gaussian(cfg.n_points, 0.0, 1.0, replication_rng(cfg.seed, r))
+            blur, blur_trace = run(points, cfg.engine_config("blurring"))
+            fixed, fixed_trace = run(points, cfg.engine_config("nonblurring"))
+            want_calls.append(("blurring", blur_trace.converged))
+            if blur_trace.converged:
+                want_calls.append(("nonblurring", fixed_trace.converged))
+            if blur_trace.converged and fixed_trace.converged:
+                kept.append(r)
+                values["sample_mean"].append(float(points.positions[:, 0].mean()))
+                for name, final in (("blurring", blur), ("nonblurring", fixed)):
+                    centre = majority_mode(extract_clusters(final, cfg.merge_tolerance))
+                    values[name].append(float(centre[0]))
+        assert calls == want_calls
+        assert ("blurring", False) in calls and ("nonblurring", False) in calls
+        assert len(kept) >= 2
+        assert rep.excluded_replications == cfg.replications - len(kept)
+        assert rep.replication_indices.tolist() == kept
+        for name, want in values.items():
+            assert np.array_equal(rep.values[name], want), name
 
     def test_all_replications_failing_is_an_error(self):
         cfg = ExperimentConfig(
