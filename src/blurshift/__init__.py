@@ -11,7 +11,6 @@ from .engine import (
     IterationTrace,
     PointSet,
     RunConfig,
-    TraceRecord,
     blurring_step,
     extract_clusters,
     majority_mode,
@@ -35,7 +34,6 @@ __version__ = "0.1.0"
 __all__ = [
     "PointSet",
     "RunConfig",
-    "TraceRecord",
     "IterationTrace",
     "ClusterResult",
     "IsolatedCenterError",

@@ -321,9 +321,7 @@ def _cmd_diagnose(args) -> None:
         "direction_seed": args.direction_seed,
     }
     report["config"] = resolved
-    with open(args.output, "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+    fileio._write_json(args.output, report)
     _echo("diagnose", resolved, {"report": args.output})
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Protocol
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -39,7 +39,6 @@ __all__ = [
     "CounterexampleTrace",
     "UnsupportedDimensionError",
     "CounterexampleBreakdownError",
-    "AdaptiveWeightSchedule",
     "FlipForcingSchedule",
     "hull_trace",
     "radius_trace",
@@ -118,11 +117,20 @@ class InfluenceReport:
 
 
 def _positions_from(trace: IterationTrace) -> list:
-    if trace.trace_level != "full":
+    if not trace.positions:
         raise ValueError("this diagnostic needs a trace recorded at trace_level='full'")
-    if not trace.records:
-        raise ValueError("trace has no records")
-    return [r.positions for r in trace.records]
+    return trace.positions
+
+
+def _tolerance(positions: list) -> float:
+    """Containment slack: ``_CONTAIN_TOL`` of the largest coordinate, at least 1."""
+    return _CONTAIN_TOL * max(1.0, max(float(np.abs(x).max()) for x in positions))
+
+
+def _first(grew) -> Optional[int]:
+    """1-based index of the first step flagged in ``grew``, or None."""
+    hit = np.flatnonzero(grew)
+    return int(hit[0]) + 1 if hit.size else None
 
 
 def _hull_1d(x: np.ndarray) -> np.ndarray:
@@ -190,46 +198,29 @@ def hull_trace(trace: IterationTrace) -> HullTrace:
     p = positions[0].shape[1]
     if p > 2:
         raise UnsupportedDimensionError(p)
-    scale = max(1.0, max(float(np.abs(x).max()) for x in positions))
-    tol = _CONTAIN_TOL * scale
+    tol = _tolerance(positions)
     if p == 1:
         hulls = [_hull_1d(x[:, 0]) for x in positions]
-        nested = True
-        first = None
-        for t in range(1, len(hulls)):
-            lo0, hi0 = hulls[t - 1]
-            lo1, hi1 = hulls[t]
-            if lo1 < lo0 - tol or hi1 > hi0 + tol:
-                nested = False
-                first = t
-                break
-        return HullTrace(dimension=1, hulls=hulls, nested=nested, first_violation=first)
-    hulls = [_hull_2d(x) for x in positions]
-    nested = True
-    first = None
-    for t in range(1, len(hulls)):
-        prev = hulls[t - 1]
-        if not all(_point_in_hull_2d(q, prev, tol) for q in hulls[t]):
-            nested = False
-            first = t
-            break
-    return HullTrace(dimension=2, hulls=hulls, nested=nested, first_violation=first)
+        lo, hi = np.array(hulls).T
+        grew = (lo[1:] < lo[:-1] - tol) | (hi[1:] > hi[:-1] + tol)
+    else:
+        hulls = [_hull_2d(x) for x in positions]
+        grew = [
+            not all(_point_in_hull_2d(q, prev, tol) for q in cur)
+            for prev, cur in zip(hulls, hulls[1:])
+        ]
+    first = _first(grew)
+    return HullTrace(dimension=p, hulls=hulls, nested=first is None, first_violation=first)
 
 
 def radius_trace(trace: IterationTrace) -> RadiusReport:
     """Largest pairwise distance per recorded iteration and whether the
     sequence ever grows beyond rounding."""
-    if not trace.records:
+    radii = trace.radii
+    if not radii.size:
         raise ValueError("trace has no records")
-    radii = trace.radii()
-    nonincreasing = True
-    first = None
-    for t in range(1, len(radii)):
-        if radii[t] > radii[t - 1] * (1 + _CONTAIN_TOL) + _CONTAIN_TOL:
-            nonincreasing = False
-            first = t
-            break
-    return RadiusReport(radii=radii, nonincreasing=nonincreasing, first_violation=first)
+    first = _first(radii[1:] > radii[:-1] * (1 + _CONTAIN_TOL) + _CONTAIN_TOL)
+    return RadiusReport(radii=radii, nonincreasing=first is None, first_violation=first)
 
 
 def directional_containment(
@@ -246,25 +237,15 @@ def directional_containment(
     rng = np.random.default_rng(seed)
     dirs = rng.normal(size=(n_directions, p))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    scale = max(1.0, max(float(np.abs(x).max()) for x in positions))
-    tol = _CONTAIN_TOL * scale
-    contained = True
-    first = None
-    max_overshoot = 0.0
-    prev = positions[0] @ dirs.T
-    for t in range(1, len(positions)):
-        cur = positions[t] @ dirs.T
-        overshoot = float((cur.max(axis=0) - prev.max(axis=0)).max())
-        max_overshoot = max(max_overshoot, overshoot)
-        if overshoot > tol and contained:
-            contained = False
-            first = t
-        prev = cur
+    # support function of each recorded cloud along each direction
+    support = np.array([(x @ dirs.T).max(axis=0) for x in positions])
+    overshoot = (support[1:] - support[:-1]).max(axis=1)
+    first = _first(overshoot > _tolerance(positions))
     return DirectionalReport(
         n_directions=n_directions,
-        contained=contained,
+        contained=first is None,
         first_violation=first,
-        max_overshoot=max_overshoot,
+        max_overshoot=max([0.0, *overshoot.tolist()]),
     )
 
 
@@ -300,12 +281,6 @@ def oscillation_kernel() -> TruncatedFlatKernel:
     """The two-level flat kernel driving the oscillation: full influence at
     distance 0, half influence out to distance 1, none beyond."""
     return TruncatedFlatKernel(levels=((0.0, 1.0), (1.0, 0.5)))
-
-
-class AdaptiveWeightSchedule(Protocol):
-    """Rule producing the weights used for the next synchronous update."""
-
-    def __call__(self, iteration: int, positions: np.ndarray) -> np.ndarray: ...
 
 
 @dataclass

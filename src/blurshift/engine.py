@@ -41,7 +41,6 @@ from .kernels import GaussianKernel, Kernel
 __all__ = [
     "PointSet",
     "RunConfig",
-    "TraceRecord",
     "IterationTrace",
     "ClusterResult",
     "IsolatedCenterError",
@@ -158,40 +157,25 @@ class RunConfig:
 
 
 @dataclass
-class TraceRecord:
-    iteration: int
-    max_displacement: float  # nan on the initial snapshot
-    radius: float  # largest pairwise distance
-    stds: np.ndarray  # per-dimension sample std, length p
-    positions: Optional[np.ndarray] = None
-
-
-@dataclass
 class IterationTrace:
-    records: list
-    trace_level: str
+    """Per-iteration columns of a run; entry t describes the cloud after t
+    steps, entry 0 the input.
+
+    max_displacements: (T+1,) largest per-point move into each entry, nan
+        at entry 0.
+    radii: (T+1,) largest pairwise distance.
+    stds: (T+1, p) per-dimension sample std.
+    positions: T+1 copies of the cloud at trace_level="full", else None.
+
+    At trace_level="none" the columns are empty, stds of shape (0, p).
+    """
+
+    max_displacements: np.ndarray
+    radii: np.ndarray
+    stds: np.ndarray
+    positions: Optional[list] = None
     converged: bool = False
     iterations: int = 0
-
-    def radii(self) -> np.ndarray:
-        return np.array([r.radius for r in self.records])
-
-    def max_displacements(self) -> np.ndarray:
-        return np.array([r.max_displacement for r in self.records])
-
-    def stds(self) -> np.ndarray:
-        return np.array([r.stds for r in self.records])
-
-    def positions_list(self) -> list:
-        if self.trace_level != "full":
-            raise ValueError("positions are only recorded at trace_level='full'")
-        return [r.positions for r in self.records]
-
-    @property
-    def dimension(self) -> int:
-        if not self.records:
-            raise ValueError("trace has no records")
-        return len(self.records[0].stds)
 
 
 @dataclass
@@ -248,22 +232,28 @@ def _reduce(
     xx = np.einsum("ij,ij->i", xc, xc)
     tt = xx if symmetric else np.einsum("ij,ij->i", tc, tc)
     spread = max(xx.max(initial=0.0), tt.max(initial=0.0))
-    if not math.isfinite(spread):
-        raise ValueError("the cloud is too wide: squared distances from its mean overflow")
+    # a pairwise squared distance reaches four times the largest from the mean
+    if not spread <= np.finfo(float).max / 4:
+        raise ValueError("the cloud is too wide: its pairwise squared distances overflow")
     factored = (
         isinstance(kernel, GaussianKernel)
         and not math.isfinite(kernel.support_radius)
         and spread < _EXP_ARG_LIMIT * kernel.tau**2
     )
     V = np.empty((n, p + 1))
+    # at least two columns, zeros after the first p: a k=1 matmul is slower
+    # than an elementwise outer product, a k=2 one faster, and r c + 0 0 = r c
+    rows, cols = np.zeros((m, max(p, 2))), np.zeros((n, max(p, 2)))
     if factored:
         # rows times columns of the cross term give 2 u.v with u = x / (sqrt 2 tau)
         scale = math.sqrt(2.0) * kernel.tau
-        rows, cols = tc / scale, xc * (2.0 / scale)
+        np.divide(tc, scale, out=rows[:, :p])
+        np.multiply(xc, 2.0 / scale, out=cols[:, :p])
         a = np.exp(xx / (-2.0 * kernel.tau**2))
         V[:, p] = a * w
     else:
-        rows, cols = tc, xc * -2.0
+        rows[:, :p] = tc
+        np.multiply(xc, -2.0, out=cols[:, :p])
         V[:, p] = w
     V[:, :p] = V[:, p, None] * xc
 
@@ -271,11 +261,7 @@ def _reduce(
         # contiguous head of the flat buffer: a strided view of a full-size
         # tile doubles the cost of the ufuncs on small tiles
         z = buf[: (i1 - i0) * (j1 - j0)].reshape(i1 - i0, j1 - j0)
-        if p == 1:
-            # a k=1 matmul costs more than the elementwise outer product
-            np.multiply(rows[i0:i1], cols[j0:j1, 0], out=z)
-        else:
-            np.matmul(rows[i0:i1], cols[j0:j1].T, out=z)
+        np.matmul(rows[i0:i1], cols[j0:j1].T, out=z)
         if factored:
             return np.exp(z, out=z)
         z += tt[i0:i1, None]
@@ -409,19 +395,16 @@ def run(points: PointSet, config: RunConfig, data: Optional[PointSet] = None):
         raise ValueError("centers and data must share a dimension")
     x = points.positions.copy()
     w = points.weights.copy()
-    records = []
+    disps, radii, stds = [], [], []
+    positions = [] if config.trace_level == "full" else None
 
-    def record(t: int, disp: float, x: np.ndarray) -> None:
+    def record(disp: float, x: np.ndarray) -> None:
         if config.trace_level != "none":
-            records.append(
-                TraceRecord(
-                    iteration=t,
-                    max_displacement=disp,
-                    radius=_max_pairwise_distance(x),
-                    stds=_cloud_stds(x),
-                    positions=x.copy() if config.trace_level == "full" else None,
-                )
-            )
+            disps.append(disp)
+            radii.append(_max_pairwise_distance(x))
+            stds.append(_cloud_stds(x))
+        if positions is not None:
+            positions.append(x.copy())
 
     converged = False
     for t in range(1, config.max_iterations + 1):
@@ -432,17 +415,19 @@ def run(points: PointSet, config: RunConfig, data: Optional[PointSet] = None):
         if t == 1:
             # only now: the first step rejects a cloud too wide to measure
             # before its radius and stds overflow
-            record(0, math.nan, x)
+            record(math.nan, x)
         step = new_x - x
         disp = float(np.sqrt(np.max(np.einsum("ij,ij->i", step, step))))
         x = new_x
-        record(t, disp, x)
+        record(disp, x)
         if disp < config.stop_displacement:
             converged = True
             break
     trace = IterationTrace(
-        records=records,
-        trace_level=config.trace_level,
+        max_displacements=np.array(disps),
+        radii=np.array(radii),
+        stds=np.array(stds).reshape(len(stds), x.shape[1]),
+        positions=positions,
         converged=converged,
         iterations=t,
     )

@@ -107,10 +107,6 @@ class MixtureSpec:
         object.__setattr__(self, "proportions", props)
         object.__setattr__(self, "labels", labels)
 
-    @property
-    def n_components(self) -> int:
-        return len(self.means)
-
     def component_counts(self, n: int) -> tuple:
         counts = []
         for p in self.proportions:
@@ -386,9 +382,8 @@ def run_convergence_rate(config: ExperimentConfig) -> ConvergenceRateReport:
 
     def series(mode: str) -> ConvergenceSeries:
         _, trace = run(points, replace(config.engine_config(mode), trace_level="full"))
-        positions = trace.positions_list()
-        means = np.array([float(x[:, 0].mean()) for x in positions])
-        stds = np.array([float(x[:, 0].std(ddof=1)) for x in positions])
+        means = np.array([float(x[:, 0].mean()) for x in trace.positions])
+        stds = np.array([float(x[:, 0].std(ddof=1)) for x in trace.positions])
         return ConvergenceSeries(mode=mode, means=means, stds=stds)
 
     return ConvergenceRateReport(

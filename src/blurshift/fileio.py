@@ -97,6 +97,12 @@ def read_points_csv(path) -> PointSet:
         raise MalformedInputError(f"{path}: {exc}") from exc
 
 
+def _write_json(path, payload) -> None:
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
+
+
 def write_result_json(
     path,
     final: PointSet,
@@ -118,32 +124,29 @@ def write_result_json(
         "converged": trace.converged,
         "config": config_echo,
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    _write_json(path, payload)
 
 
 def write_trace_csv(path, trace: IterationTrace) -> None:
     """Per-iteration trace. Columns: iteration, max_displacement, radius,
     std_1..std_p, and for full traces the flattened positions pos{i}_{d}.
     The first row's displacement is nan: nothing moved yet."""
-    if trace.trace_level == "none" or not trace.records:
+    if not trace.radii.size:
         raise ValueError("trace was not recorded; rerun with a trace level")
-    p = trace.dimension
+    p = trace.stds.shape[1]
     header = ["iteration", "max_displacement", "radius"]
     header += [f"std_{d + 1}" for d in range(p)]
-    full = trace.trace_level == "full"
-    if full:
-        n = trace.records[0].positions.shape[0]
+    if trace.positions is not None:
+        n = trace.positions[0].shape[0]
         header += [f"pos{i}_{d + 1}" for i in range(n) for d in range(p)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for rec in trace.records:
-            row = [str(rec.iteration), _fmt(rec.max_displacement), _fmt(rec.radius)]
-            row += [_fmt(s) for s in rec.stds]
-            if full:
-                row += [_fmt(v) for v in rec.positions.ravel()]
+        columns = zip(trace.max_displacements, trace.radii, trace.stds)
+        for t, (disp, radius, stds) in enumerate(columns):
+            row = [str(t), _fmt(disp), _fmt(radius)] + [_fmt(s) for s in stds]
+            if trace.positions is not None:
+                row += [_fmt(v) for v in trace.positions[t].ravel()]
             writer.writerow(row)
 
 
@@ -199,9 +202,7 @@ def write_experiment_report_json(path, report: ExperimentReport) -> None:
         "excluded_replications": report.excluded_replications,
         "excluded_indices": excluded,
     }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    _write_json(path, payload)
 
 
 def write_convergence_report_json(path, report: ConvergenceRateReport) -> None:
@@ -214,9 +215,7 @@ def write_convergence_report_json(path, report: ConvergenceRateReport) -> None:
                 None if math.isinf(v) else v for v in series.log10_stds
             ],
         }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+    _write_json(path, payload)
 
 
 def write_experiment_values_csv(path, report: ExperimentReport) -> None:

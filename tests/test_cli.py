@@ -446,10 +446,11 @@ class TestErrorSurface:
         assert json.loads(lines[0])["error"]["code"] == "too-few-converged"
         assert not (tmp_path / "r.json").exists()
 
-    def test_overflowing_spread_is_one_error_line(self, tmp_path):
+    @staticmethod
+    def assert_one_overflow_line(tmp_path, points_text):
         # a subprocess, so numpy's warnings would reach stderr as they do
         # for a user, not pytest's warning capture
-        pts = write(tmp_path / "wide.csv", "0\n1e160\n3e160\n")
+        pts = write(tmp_path / "wide.csv", points_text)
         out = subprocess.run(
             [sys.executable, "-m", "blurshift", "cluster", "--input", pts,
              "--output", str(tmp_path / "r.json"), "--tau", "1"],
@@ -461,6 +462,13 @@ class TestErrorSurface:
         assert len(lines) == 1, out.stderr
         assert json.loads(lines[0])["error"]["code"] == "invalid-argument"
         assert "overflow" in json.loads(lines[0])["error"]["message"]
+
+    def test_overflowing_spread_is_one_error_line(self, tmp_path):
+        self.assert_one_overflow_line(tmp_path, "0\n1e160\n3e160\n")
+
+    def test_overflowing_pair_is_one_error_line(self, tmp_path):
+        # squared distances from the mean fit in a float; the pair's does not
+        self.assert_one_overflow_line(tmp_path, "0\n1.5e154\n")
 
     def test_parser_builds(self):
         parser = build_parser()

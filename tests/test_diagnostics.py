@@ -21,7 +21,6 @@ from blurshift.engine import (
     IterationTrace,
     PointSet,
     RunConfig,
-    TraceRecord,
     extract_clusters,
     run,
 )
@@ -37,24 +36,22 @@ def full_run(x, kernel, weights=None, max_iterations=500):
 
 
 def synthetic_trace(arrays):
-    records = []
-    for t, x in enumerate(arrays):
+    positions, radii, stds = [], [], []
+    for x in arrays:
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
             x = x[:, None]
         diffs = x[:, None, :] - x[None, :, :]
-        radius = float(np.sqrt((diffs**2).sum(-1)).max())
-        records.append(
-            TraceRecord(
-                iteration=t,
-                max_displacement=math.nan if t == 0 else 1.0,
-                radius=radius,
-                stds=x.std(axis=0, ddof=1) if x.shape[0] > 1 else np.zeros(x.shape[1]),
-                positions=x,
-            )
-        )
+        positions.append(x)
+        radii.append(float(np.sqrt((diffs**2).sum(-1)).max()))
+        stds.append(x.std(axis=0, ddof=1) if x.shape[0] > 1 else np.zeros(x.shape[1]))
     return IterationTrace(
-        records=records, trace_level="full", converged=False, iterations=len(arrays) - 1
+        max_displacements=np.r_[math.nan, np.ones(len(arrays) - 1)],
+        radii=np.array(radii),
+        stds=np.array(stds),
+        positions=positions,
+        converged=False,
+        iterations=len(arrays) - 1,
     )
 
 
@@ -229,7 +226,7 @@ class TestInfluenceDecay:
         assert rep.max_cross_influence > 0
         i, j = rep.pair
         assert result.labels[i] != result.labels[j]
-        final = trace.records[-1].positions
+        final = trace.positions[-1]
         gap = np.linalg.norm(final[i] - final[j])
         assert rep.max_cross_influence == pytest.approx(wide.evaluate(gap))
 
@@ -375,7 +372,7 @@ class TestFrozenWeights:
                 (0.1, 0.1, 0.1), weights=tr.weights[t], max_iterations=2000
             )
             assert trace.converged, f"snapshot {t} failed to converge"
-            x1 = np.array([p[0, 0] for p in trace.positions_list()])
+            x1 = np.array([p[0, 0] for p in trace.positions])
             flips = np.sum(np.sign(x1[1:]) * np.sign(x1[:-1]) < 0)
             assert flips <= 1
 

@@ -368,6 +368,36 @@ class TestTileInfluence:
                 # points off the diagonal
                 assert np.count_nonzero(sq == 0.0) > x.shape[0]
 
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_one_dimensional_tile_is_the_elementwise_product(self, symmetric):
+        # the reducer pads p=1 to two columns, the second all zeros, so the
+        # tile is one matmul; r c + 0 0 must round exactly as r c alone
+        rng = np.random.default_rng(65)
+        kernels = (
+            GaussianKernel(0.7, support_radius=2.1),
+            TruncatedFlatKernel(levels=((1.0, 0.5), (2.0, 0.25))),
+            TabulatedKernel(knots=((0.0, 1.0), (1.0, 0.6), (2.5, 0.1))),
+        )
+        for n, offset in ((2, 0.0), (97, 0.0), (256, 0.0), (180, 1e4), (256, -37.5)):
+            x = rng.normal(offset, 3.0, size=(n, 1))
+            x[n // 2 :: 7] = x[1]
+            targets = x if symmetric else x[::2] + 0.01
+            xc = x - x.mean(axis=0)
+            tc = targets - x.mean(axis=0)
+            want = ((tc * (-2.0 * xc).T) + tc * tc) + (xc * xc).T
+            np.maximum(want, 0.0, out=want)
+            if symmetric:
+                np.fill_diagonal(want, 0.0)
+            for kernel in kernels:
+                if symmetric:
+                    seen = tiles_seen(kernel, lambda: blurring_step(PointSet(x), kernel))
+                else:
+                    seen = tiles_seen(
+                        kernel, lambda: nonblurring_step(targets, PointSet(x), kernel)
+                    )
+                assert len(seen) == 1
+                assert seen[0][0].tobytes() == want.tobytes()
+
 
 class TestIsolation:
     def test_isolated_center_raises_with_index(self):
@@ -385,11 +415,20 @@ class TestIsolation:
         np.testing.assert_allclose(out.positions.ravel(), x)
 
     def test_steps_report_overflowing_spread(self):
-        wide = np.array([0.0, 1e160, 3e160])
-        with pytest.raises(ValueError, match="overflow"):
-            blurring_step(PointSet(wide), GaussianKernel(1.0))
-        with pytest.raises(ValueError, match="overflow"):
-            nonblurring_step(wide, PointSet(wide), GaussianKernel(1.0))
+        # the second cloud's squared distances from its mean stay finite,
+        # but its pairwise squared distance, four times as large, does not
+        for wide in (np.array([0.0, 1e160, 3e160]), np.array([0.0, 1.5e154])):
+            with pytest.raises(ValueError, match="overflow"):
+                blurring_step(PointSet(wide), GaussianKernel(1.0))
+            with pytest.raises(ValueError, match="overflow"):
+                nonblurring_step(wide, PointSet(wide), GaussianKernel(1.0))
+
+    def test_widest_finite_pair_runs(self):
+        # pairwise squared distance 1e308, just inside the float range
+        ps = PointSet(np.array([0.0, 1e154]))
+        final, trace = run(ps, RunConfig(kernel=GaussianKernel(1.0)))
+        assert np.all(np.isfinite(final.positions))
+        assert trace.radii[0] == 1e154
 
     def test_dimension_mismatch(self):
         data = PointSet(np.zeros((3, 2)))
@@ -409,12 +448,12 @@ class TestRun:
         ps = PointSet(rng.normal(size=(25, 2)))
         final, trace = run(ps, RunConfig(kernel=GaussianKernel(2.0)))
         assert trace.converged
-        assert trace.iterations == len(trace.records) - 1
-        first = trace.records[0]
-        assert first.iteration == 0
-        assert math.isnan(first.max_displacement)
-        np.testing.assert_allclose(first.stds, ps.positions.std(axis=0, ddof=1))
-        disp = trace.max_displacements()
+        assert trace.iterations == len(trace.radii) - 1
+        assert trace.stds.shape == (len(trace.radii), 2)
+        assert trace.positions is None
+        assert math.isnan(trace.max_displacements[0])
+        np.testing.assert_allclose(trace.stds[0], ps.positions.std(axis=0, ddof=1))
+        disp = trace.max_displacements
         # a fully collapsed cloud reaches displacement exactly 0
         assert np.all(disp[1:] >= 0)
         assert disp[-1] < 1e-10
@@ -424,21 +463,21 @@ class TestRun:
         rng = np.random.default_rng(6)
         ps = PointSet(rng.normal(size=(40, 1)))
         _, trace = run(ps, RunConfig(kernel=GaussianKernel(1.0)))
-        radii = trace.radii()
+        radii = trace.radii
         assert np.all(np.diff(radii) <= radii[:-1] * 1e-12 + 1e-15)
 
     def test_trace_level_none_records_nothing(self):
         ps = PointSet(np.array([0.0, 1.0]))
         final, trace = run(ps, RunConfig(kernel=GaussianKernel(2.0), trace_level="none"))
-        assert trace.records == []
+        assert trace.max_displacements.shape == trace.radii.shape == (0,)
+        assert trace.stds.shape == (0, 1)
+        assert trace.positions is None
         assert trace.converged and trace.iterations > 0
-        with pytest.raises(ValueError):
-            trace.positions_list()
 
     def test_trace_level_full_keeps_positions(self):
         ps = PointSet(np.array([0.0, 1.0]))
         _, trace = run(ps, RunConfig(kernel=GaussianKernel(2.0), trace_level="full"))
-        plist = trace.positions_list()
+        plist = trace.positions
         assert len(plist) == trace.iterations + 1
         np.testing.assert_array_equal(plist[0], [[0.0], [1.0]])
 
@@ -487,8 +526,8 @@ class TestRun:
             assert final.positions.tobytes() == cur.tobytes()
             assert final.weights.tobytes() == w.tobytes()
             radii = [engine._max_pairwise_distance(s) for s in states]
-            assert trace.radii().tobytes() == np.array(radii).tobytes()
-            np.testing.assert_array_equal(trace.max_displacements(), disps)
+            assert trace.radii.tobytes() == np.array(radii).tobytes()
+            np.testing.assert_array_equal(trace.max_displacements, disps)
 
     def test_run_builds_no_point_set_per_iteration(self, monkeypatch):
         built = []
@@ -520,8 +559,9 @@ class TestRun:
     def test_overflowing_spread_names_its_cause(self, mode, trace_level):
         # finite input whose squared distances exceed the float range
         cfg = RunConfig(kernel=GaussianKernel(1.0), mode=mode, trace_level=trace_level)
-        with pytest.raises(ValueError, match="overflow"):
-            run(PointSet(np.array([0.0, 1e160, 3e160])), cfg)
+        for wide in ([0.0, 1e160, 3e160], [0.0, 1.5e154]):
+            with pytest.raises(ValueError, match="overflow"):
+                run(PointSet(np.array(wide)), cfg)
 
     def test_nonblurring_with_separate_centers(self):
         rng = np.random.default_rng(8)
