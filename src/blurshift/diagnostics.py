@@ -21,6 +21,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .engine import (
+    DEFAULT_MAX_ITERATIONS,
+    DEFAULT_STOP_DISPLACEMENT,
     ClusterResult,
     IterationTrace,
     PointSet,
@@ -123,7 +125,8 @@ def _positions_from(trace: IterationTrace) -> list:
 
 
 def _tolerance(positions: list) -> float:
-    """Containment slack: ``_CONTAIN_TOL`` of the largest coordinate, at least 1."""
+    """Containment slack in distance units: ``_CONTAIN_TOL`` times the
+    largest |coordinate|, taken as at least 1."""
     return _CONTAIN_TOL * max(1.0, max(float(np.abs(x).max()) for x in positions))
 
 
@@ -131,10 +134,6 @@ def _first(grew) -> Optional[int]:
     """1-based index of the first step flagged in ``grew``, or None."""
     hit = np.flatnonzero(grew)
     return int(hit[0]) + 1 if hit.size else None
-
-
-def _hull_1d(x: np.ndarray) -> np.ndarray:
-    return np.array([float(x.min()), float(x.max())])
 
 
 def _hull_2d(x: np.ndarray) -> np.ndarray:
@@ -166,49 +165,49 @@ def _hull_2d(x: np.ndarray) -> np.ndarray:
     return hull
 
 
-def _point_in_hull_2d(q: np.ndarray, hull: np.ndarray, tol: float) -> bool:
-    k = hull.shape[0]
-    if k == 1:
-        return bool(np.linalg.norm(q - hull[0]) <= tol)
-    if k == 2:
-        a, b = hull
-        ab = b - a
-        denom = float(ab @ ab)
-        t = float((q - a) @ ab) / denom if denom > 0 else 0.0
-        t = min(1.0, max(0.0, t))
-        return bool(np.linalg.norm(q - (a + t * ab)) <= tol)
-    # CCW polygon: inside iff never strictly right of an edge
-    for i in range(k):
-        a = hull[i]
-        b = hull[(i + 1) % k]
-        if (b[0] - a[0]) * (q[1] - a[1]) - (b[1] - a[1]) * (q[0] - a[0]) < -tol:
-            return False
-    return True
+def _hull_directions(hull: np.ndarray) -> np.ndarray:
+    """Unit outward edge normals of a (k, p) hull, then +-each axis.
+
+    The half-planes along these directions cut out the hull exactly: the
+    normals bound a polygon, and the axes close off a segment or a point. A
+    1-d hull gets the axes alone.
+    """
+    p = hull.shape[1]
+    axes = np.vstack([np.eye(p), -np.eye(p)])
+    if p == 1 or hull.shape[0] < 2:
+        return axes
+    # counterclockwise vertices: the outward normal is the edge turned clockwise
+    edges = np.roll(hull, -1, axis=0) - hull
+    normals = np.column_stack([edges[:, 1], -edges[:, 0]])
+    normals /= np.hypot(edges[:, 0], edges[:, 1])[:, None]
+    return np.vstack([normals, axes])
+
+
+def _overshoot(prev: np.ndarray, cur: np.ndarray, dirs: np.ndarray) -> float:
+    """Largest amount, in distance units, by which the support function of
+    the rows of ``cur`` exceeds that of ``prev`` along the unit ``dirs``."""
+    return float(((cur @ dirs.T).max(axis=0) - (prev @ dirs.T).max(axis=0)).max())
 
 
 def hull_trace(trace: IterationTrace) -> HullTrace:
     """Convex hull of the cloud at every recorded iteration, with a verdict
     on whether each hull contains the next.
 
-    Needs a full-position trace. Only dimensions 1 and 2 get exact hulls;
-    higher dimensions raise UnsupportedDimensionError (radius_trace and
-    directional_containment cover those).
+    A hull contains its successor when no support of the successor exceeds
+    the hull's own by more than the rounding tolerance, along the hull's
+    outward edge normals and the axes. Needs a full-position trace. Only
+    dimensions 1 and 2 get exact hulls; higher dimensions raise
+    UnsupportedDimensionError (radius_trace and directional_containment
+    cover those).
     """
     positions = _positions_from(trace)
     p = positions[0].shape[1]
     if p > 2:
         raise UnsupportedDimensionError(p)
+    hulls = [_hull_2d(x) if p == 2 else np.r_[x.min(), x.max()] for x in positions]
+    vertices = [h.reshape(-1, p) for h in hulls]
     tol = _tolerance(positions)
-    if p == 1:
-        hulls = [_hull_1d(x[:, 0]) for x in positions]
-        lo, hi = np.array(hulls).T
-        grew = (lo[1:] < lo[:-1] - tol) | (hi[1:] > hi[:-1] + tol)
-    else:
-        hulls = [_hull_2d(x) for x in positions]
-        grew = [
-            not all(_point_in_hull_2d(q, prev, tol) for q in cur)
-            for prev, cur in zip(hulls, hulls[1:])
-        ]
+    grew = [_overshoot(a, b, _hull_directions(a)) > tol for a, b in zip(vertices, vertices[1:])]
     first = _first(grew)
     return HullTrace(dimension=p, hulls=hulls, nested=first is None, first_violation=first)
 
@@ -237,15 +236,14 @@ def directional_containment(
     rng = np.random.default_rng(seed)
     dirs = rng.normal(size=(n_directions, p))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    # support function of each recorded cloud along each direction
-    support = np.array([(x @ dirs.T).max(axis=0) for x in positions])
-    overshoot = (support[1:] - support[:-1]).max(axis=1)
-    first = _first(overshoot > _tolerance(positions))
+    overshoot = [_overshoot(prev, cur, dirs) for prev, cur in zip(positions, positions[1:])]
+    tol = _tolerance(positions)
+    first = _first([o > tol for o in overshoot])
     return DirectionalReport(
         n_directions=n_directions,
         contained=first is None,
         first_violation=first,
-        max_overshoot=max([0.0, *overshoot.tolist()]),
+        max_overshoot=max([0.0, *overshoot]),
     )
 
 
@@ -425,8 +423,8 @@ def run_counterexample(
 def frozen_weight_run(
     deltas: tuple = (0.1, 0.1, 0.1),
     weights=None,
-    max_iterations: int = 500,
-    stop_displacement: float = 1e-10,
+    max_iterations: int = DEFAULT_MAX_ITERATIONS,
+    stop_displacement: float = DEFAULT_STOP_DISPLACEMENT,
 ):
     """Run the same three-point configuration with weights held fixed.
 

@@ -372,7 +372,16 @@ def _max_pairwise_distance(x: np.ndarray) -> float:
 def _cloud_stds(x: np.ndarray) -> np.ndarray:
     if x.shape[0] < 2:
         return np.zeros(x.shape[1])
-    return x.std(axis=0, ddof=1)
+    with np.errstate(over="ignore"):
+        stds = x.std(axis=0, ddof=1)
+    wide = ~np.isfinite(stds)
+    if wide.any():
+        # each squared deviation fits a double but their sum need not: sum
+        # them scaled by the largest, then scale back
+        dev = x[:, wide] - x[:, wide].mean(axis=0)
+        top = np.abs(dev).max(axis=0)
+        stds[wide] = top * (dev / top).std(axis=0, ddof=1)
+    return stds
 
 
 def run(points: PointSet, config: RunConfig, data: Optional[PointSet] = None):

@@ -24,6 +24,9 @@ from typing import Optional
 import numpy as np
 
 from .engine import (
+    DEFAULT_MAX_ITERATIONS,
+    DEFAULT_MERGE_TOLERANCE,
+    DEFAULT_STOP_DISPLACEMENT,
     PointSet,
     RunConfig,
     extract_clusters,
@@ -155,9 +158,9 @@ class ExperimentConfig:
     seed: int = 0
     mixture: Optional[MixtureSpec] = None
     truncation_multiple: object = AUTO
-    stop_displacement: float = 1e-10
-    max_iterations: int = 500
-    merge_tolerance: float = 1e-6
+    stop_displacement: float = DEFAULT_STOP_DISPLACEMENT
+    max_iterations: int = DEFAULT_MAX_ITERATIONS
+    merge_tolerance: float = DEFAULT_MERGE_TOLERANCE
 
     def __post_init__(self):
         if self.kind not in EXPERIMENT_KINDS:
@@ -171,22 +174,17 @@ class ExperimentConfig:
             self.truncation_multiple, (int, float)
         ):
             raise ValueError("truncation_multiple must be a number, None, or 'auto'")
-        if not (self.tau > 0 and math.isfinite(self.tau)):
-            raise ValueError("tau must be positive and finite")
         if self.n_points < 1:
             raise ValueError("n_points must be at least 1")
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must fit an unsigned 64-bit integer")
-        if self.truncation_multiple is not None and not self.truncation_multiple > 0:
-            raise ValueError("truncation_multiple must be positive or None")
-        if not self.stop_displacement > 0:
-            raise ValueError("stop_displacement must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
+        # extract_clusters would only see a bad tolerance after a whole run
         if not self.merge_tolerance >= 0:
             raise ValueError("merge_tolerance must be nonnegative")
+        # the kernel and the run settings reject bad values themselves
+        self.engine_config("blurring")
 
     def kernel(self) -> GaussianKernel:
         if self.truncation_multiple is None:

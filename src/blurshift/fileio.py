@@ -51,6 +51,14 @@ def _fmt(value) -> str:
     return f"{float(value):.17g}"
 
 
+def _write_csv(path, header, rows) -> None:
+    """Header, then rows: strings verbatim, every other cell through ``_fmt``."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([c if isinstance(c, str) else _fmt(c) for c in row] for row in rows)
+
+
 def _looks_like_header(cells) -> bool:
     for cell in cells:
         try:
@@ -136,18 +144,12 @@ def write_trace_csv(path, trace: IterationTrace) -> None:
     p = trace.stds.shape[1]
     header = ["iteration", "max_displacement", "radius"]
     header += [f"std_{d + 1}" for d in range(p)]
+    columns = [trace.max_displacements[:, None], trace.radii[:, None], trace.stds]
     if trace.positions is not None:
         n = trace.positions[0].shape[0]
         header += [f"pos{i}_{d + 1}" for i in range(n) for d in range(p)]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        columns = zip(trace.max_displacements, trace.radii, trace.stds)
-        for t, (disp, radius, stds) in enumerate(columns):
-            row = [str(t), _fmt(disp), _fmt(radius)] + [_fmt(s) for s in stds]
-            if trace.positions is not None:
-                row += [_fmt(v) for v in trace.positions[t].ravel()]
-            writer.writerow(row)
+        columns.append(np.reshape(trace.positions, (len(trace.positions), -1)))
+    _write_csv(path, header, ([t, *row] for t, row in enumerate(np.hstack(columns))))
 
 
 def write_theory_csv(path, blurring_stds, nonblurring_stds) -> None:
@@ -156,11 +158,8 @@ def write_theory_csv(path, blurring_stds, nonblurring_stds) -> None:
     fixed = np.asarray(nonblurring_stds, dtype=float)
     if blur.shape != fixed.shape or blur.ndim != 1:
         raise ValueError("std sequences must be 1-d and equally long")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "blurring_std", "nonblurring_std"])
-        for step, (b, f) in enumerate(zip(blur, fixed)):
-            writer.writerow([str(step), _fmt(b), _fmt(f)])
+    rows = ([step, b, f] for step, (b, f) in enumerate(zip(blur, fixed)))
+    _write_csv(path, ["step", "blurring_std", "nonblurring_std"], rows)
 
 
 def write_counterexample_csv(path, states, weights) -> None:
@@ -170,13 +169,12 @@ def write_counterexample_csv(path, states, weights) -> None:
     w = np.asarray(weights, dtype=float)
     if x.ndim != 2 or x.shape[1] != 3 or w.shape != (x.shape[0] - 1, 3):
         raise ValueError("states must be (T+1, 3) and weights (T, 3)")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iteration", "x1", "x2", "x3", "w1", "w2", "w3"])
-        for t in range(x.shape[0]):
-            row = [str(t)] + [_fmt(v) for v in x[t]]
-            row += [_fmt(v) for v in w[t]] if t < w.shape[0] else ["nan"] * 3
-            writer.writerow(row)
+    table = np.hstack([x, np.vstack([w, np.full((1, 3), math.nan)])])
+    _write_csv(
+        path,
+        ["iteration", "x1", "x2", "x3", "w1", "w2", "w3"],
+        ([t, *row] for t, row in enumerate(table)),
+    )
 
 
 def config_dict(config) -> dict:
@@ -221,29 +219,20 @@ def write_convergence_report_json(path, report: ConvergenceRateReport) -> None:
 def write_experiment_values_csv(path, report: ExperimentReport) -> None:
     """Long-format raw values: statistic, replication, value. Replication
     numbers are the original indices, so excluded ones appear as gaps."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["statistic", "replication", "value"])
-        for name in ("sample_mean", "blurring", "nonblurring"):
-            for rep, value in zip(report.replication_indices, report.values[name]):
-                writer.writerow([name, str(int(rep)), _fmt(value)])
+    rows = (
+        [name, rep, value]
+        for name in ("sample_mean", "blurring", "nonblurring")
+        for rep, value in zip(report.replication_indices, report.values[name])
+    )
+    _write_csv(path, ["statistic", "replication", "value"], rows)
 
 
 def write_convergence_csv(path, report: ConvergenceRateReport) -> None:
     """Long-format per-iteration series: mode, iteration, mean, std,
     log10_std."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["mode", "iteration", "mean", "std", "log10_std"])
-        for series in (report.blurring, report.nonblurring):
-            logs = series.log10_stds
-            for t in range(series.means.size):
-                writer.writerow(
-                    [
-                        series.mode,
-                        str(t),
-                        _fmt(series.means[t]),
-                        _fmt(series.stds[t]),
-                        _fmt(logs[t]),
-                    ]
-                )
+    rows = (
+        [series.mode, t, *values]
+        for series in (report.blurring, report.nonblurring)
+        for t, values in enumerate(zip(series.means, series.stds, series.log10_stds))
+    )
+    _write_csv(path, ["mode", "iteration", "mean", "std", "log10_std"], rows)

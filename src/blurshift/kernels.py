@@ -73,6 +73,16 @@ class Kernel:
     def _fill_sq(self, z):  # pragma: no cover - abstract
         raise NotImplementedError
 
+    def _settle_support(self, intrinsic: float) -> None:
+        """An unset (nan) support radius takes the profile's own support
+        ``intrinsic``; a set one must be positive and is capped at it."""
+        r = self.support_radius
+        if not math.isnan(r):
+            if not r > 0:
+                raise ValueError("support_radius must be positive")
+            intrinsic = min(r, intrinsic)
+        object.__setattr__(self, "support_radius", intrinsic)
+
 
 @dataclass(frozen=True)
 class GaussianKernel(Kernel):
@@ -136,18 +146,8 @@ class TruncatedFlatKernel(Kernel):
         if thresholds[0] == 0.0 and values[0] != 1.0:
             raise ValueError("a level at threshold 0 must have value 1")
         object.__setattr__(self, "levels", levels)
-        intrinsic = 0.0
-        for t, v in levels:
-            if v > 0:
-                intrinsic = t
-        if math.isnan(self.support_radius):
-            object.__setattr__(self, "support_radius", intrinsic)
-        else:
-            if not self.support_radius > 0:
-                raise ValueError("support_radius must be positive")
-            object.__setattr__(
-                self, "support_radius", min(self.support_radius, intrinsic)
-            )
+        # values are nonincreasing: the support ends at the last positive level
+        self._settle_support(max([t for t, v in levels if v > 0], default=0.0))
         # squared interval bounds and the influence on each: 1 at 0 exactly,
         # level k on (t_{k-1}^2, t_k^2], the level holding the support radius
         # r on its last stretch up to r^2, and 0 beyond r^2
@@ -197,14 +197,7 @@ class TabulatedKernel(Kernel):
             while k > 0 and vs[k - 1] == 0.0:
                 k -= 1
             intrinsic = ds[k]
-        if math.isnan(self.support_radius):
-            object.__setattr__(self, "support_radius", intrinsic)
-        else:
-            if not self.support_radius > 0:
-                raise ValueError("support_radius must be positive")
-            object.__setattr__(
-                self, "support_radius", min(self.support_radius, intrinsic)
-            )
+        self._settle_support(intrinsic)
 
     def _fill_sq(self, z):
         r = self.support_radius
@@ -320,18 +313,12 @@ def kernel_to_config(kernel: Kernel) -> dict:
     """Inverse of ``kernel_from_config`` for the built-in families."""
     if isinstance(kernel, GaussianKernel):
         cfg = {"family": "gaussian", "tau": kernel.tau}
-        if math.isfinite(kernel.support_radius):
-            cfg["support_radius"] = kernel.support_radius
-        return cfg
-    if isinstance(kernel, TruncatedFlatKernel):
-        return {
-            "family": "truncated_flat",
-            "levels": [list(l) for l in kernel.levels],
-            "support_radius": kernel.support_radius,
-        }
-    if isinstance(kernel, TabulatedKernel):
+    elif isinstance(kernel, TruncatedFlatKernel):
+        cfg = {"family": "truncated_flat", "levels": [list(l) for l in kernel.levels]}
+    elif isinstance(kernel, TabulatedKernel):
         cfg = {"family": "tabulated", "profile": [list(k) for k in kernel.knots]}
-        if math.isfinite(kernel.support_radius):
-            cfg["support_radius"] = kernel.support_radius
-        return cfg
-    raise TypeError(f"unknown kernel type: {type(kernel).__name__}")
+    else:
+        raise TypeError(f"unknown kernel type: {type(kernel).__name__}")
+    if math.isfinite(kernel.support_radius):
+        cfg["support_radius"] = kernel.support_radius
+    return cfg

@@ -169,6 +169,24 @@ class TestCluster:
         assert code == 0
         assert json.loads(out.read_text())["config"]["data"] == data
 
+    def test_wide_cloud_trace_has_finite_stds(self, tmp_path):
+        # a subprocess, so numpy's warnings would reach stderr as they do
+        # for a user; the squared deviations fit a double, their sum does not
+        pts = write(tmp_path / "wide.csv", "0\n0\n0\n1.3e154\n1.3e154\n1.3e154\n")
+        trace = tmp_path / "t.csv"
+        out = subprocess.run(
+            [sys.executable, "-m", "blurshift", "cluster", "--input", pts,
+             "--output", str(tmp_path / "w.json"), "--trace", str(trace), "--tau", "1"],
+            capture_output=True, text=True, env=src_env(),
+        )
+        assert out.returncode == 0
+        assert out.stderr == ""
+        lines = out.stdout.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["subcommand"] == "cluster"
+        stds = np.loadtxt(trace, delimiter=",", skiprows=1, usecols=3, ndmin=1)
+        assert stds.size >= 1 and np.all(np.isfinite(stds))
+
     def test_trace_with_level_none_rejected(self, capsys, tmp_path, sample_csv):
         code, _, err = run_cli(
             capsys, "cluster", "--input", sample_csv,

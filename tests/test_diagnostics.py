@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blurshift.diagnostics import (
     CounterexampleBreakdownError,
@@ -15,7 +17,7 @@ from blurshift.diagnostics import (
     radius_trace,
     run_counterexample,
 )
-from blurshift.diagnostics import _hull_2d, _point_in_hull_2d
+from blurshift.diagnostics import _hull_2d, _hull_directions, _overshoot, _tolerance
 from blurshift.engine import (
     ClusterResult,
     IterationTrace,
@@ -53,6 +55,30 @@ def synthetic_trace(arrays):
         converged=False,
         iterations=len(arrays) - 1,
     )
+
+
+def in_hull(q, hull, tol):
+    """Whether point q lies in the 2-d hull within tol: no support of q
+    exceeds the hull's along its edge normals and the axes."""
+    return _overshoot(hull, np.atleast_2d(q), _hull_directions(hull)) <= tol
+
+
+@st.composite
+def scaled_clouds(draw):
+    """A cloud at scale 10^[-8, 6], up to 1e3 scales off the origin, and
+    the same cloud scaled about its centroid by f = 1 +- 10^[-16, 0].
+
+    Scale, offset and f come from the seeded generator: hypothesis draws
+    bunch at the ends and the middle of a float range, and the scales where
+    a tolerance rule can break sit in between.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, p = draw(st.integers(3, 30)), draw(st.integers(1, 2))
+    scale = 10.0 ** rng.uniform(-8.0, 6.0)
+    x = (rng.normal(size=(n, p)) + rng.uniform(-1e3, 1e3, size=p)) * scale
+    f = 1 + draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** rng.uniform(-16.0, 0.0)
+    c = x.mean(axis=0)
+    return x, c + f * (x - c), f
 
 
 class TestHullTrace:
@@ -95,6 +121,19 @@ class TestHullTrace:
         assert not ht.nested
         assert ht.first_violation == 2
 
+    @given(cloud=scaled_clouds())
+    @settings(max_examples=400, deadline=None)
+    def test_verdict_does_not_depend_on_scale(self, cloud):
+        x, y, f = cloud
+        trace = synthetic_trace([x, y])
+        if f <= 1 + 1e-14:
+            assert hull_trace(trace).nested
+            assert directional_containment(trace).contained
+        extent = (x.max(axis=0) - x.min(axis=0)).min()
+        if (f - 1) * extent > 10 * _tolerance([x, y]):
+            ht = hull_trace(trace)
+            assert not ht.nested and ht.first_violation == 1
+
     def test_high_dimension_rejected(self):
         rng = np.random.default_rng(0)
         final, trace = full_run(rng.normal(size=(10, 3)), GaussianKernel(2.0))
@@ -117,7 +156,7 @@ class TestMonotoneChain:
             pts = rng.normal(size=(rng.integers(3, 40), 2))
             hull = _hull_2d(pts)
             scale = max(1.0, np.abs(pts).max())
-            assert all(_point_in_hull_2d(q, hull, 1e-9 * scale) for q in pts)
+            assert all(in_hull(q, hull, 1e-9 * scale) for q in pts)
 
     def test_strictly_convex_vertices(self):
         rng = np.random.default_rng(2)
@@ -135,15 +174,15 @@ class TestMonotoneChain:
         pts = np.column_stack([t, 2 * t])
         hull = _hull_2d(pts)
         assert hull.shape == (2, 2)
-        assert _point_in_hull_2d(np.array([0.5, 1.0]), hull, 1e-9)
-        assert not _point_in_hull_2d(np.array([0.5, 1.2]), hull, 1e-9)
+        assert in_hull(np.array([0.5, 1.0]), hull, 1e-9)
+        assert not in_hull(np.array([0.5, 1.2]), hull, 1e-9)
 
     def test_duplicates_collapse(self):
         pts = np.array([[0.0, 0.0]] * 5)
         hull = _hull_2d(pts)
         assert hull.shape == (1, 2)
-        assert _point_in_hull_2d(np.array([0.0, 0.0]), hull, 1e-12)
-        assert not _point_in_hull_2d(np.array([0.1, 0.0]), hull, 1e-12)
+        assert in_hull(np.array([0.0, 0.0]), hull, 1e-12)
+        assert not in_hull(np.array([0.1, 0.0]), hull, 1e-12)
 
 
 class TestRadiusTrace:

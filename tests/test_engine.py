@@ -563,6 +563,12 @@ class TestRun:
             with pytest.raises(ValueError, match="overflow"):
                 run(PointSet(np.array(wide)), cfg)
 
+    def test_stds_of_a_cloud_whose_squared_deviations_sum_past_the_float_range(self):
+        # each squared deviation fits a double, the sum of six does not
+        ps = PointSet(np.array([0.0] * 3 + [1.3e154] * 3))
+        _, trace = run(ps, RunConfig(kernel=GaussianKernel(1.0)))
+        np.testing.assert_allclose(trace.stds, 1.3e154 * math.sqrt(0.3), rtol=1e-14, atol=0.0)
+
     def test_nonblurring_with_separate_centers(self):
         rng = np.random.default_rng(8)
         data = PointSet(rng.normal(size=(60, 1)))
