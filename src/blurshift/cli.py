@@ -5,7 +5,7 @@ diagnose, counterexample. Each run prints a single JSON line to stdout with
 the fully resolved configuration and the paths it wrote. Failures print
 {"error": {"code", "message"}} to stderr and exit nonzero.
 
-Environment: BLURSHIFT_SEED overrides the default --seed.
+Environment: BLURSHIFT_SEED sets the experiment seed when --seed is not given.
 """
 
 from __future__ import annotations
@@ -252,7 +252,7 @@ def _cmd_experiment(args) -> None:
         tau=args.tau,
         n_points=args.n_points,
         replications=reps,
-        seed=args.seed,
+        seed=_env_int("BLURSHIFT_SEED", 0) if args.seed is None else args.seed,
         truncation_multiple=_resolve_truncation(args.truncation_multiple),
         stop_displacement=args.stop_displacement,
         max_iterations=args.max_iterations,
@@ -382,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="replications (default 2000; convergence-rate defaults to 1)",
     )
     experiment.add_argument(
-        "--seed", type=int, default=_env_int("BLURSHIFT_SEED", 0)
+        "--seed", type=int, help="master seed (default: BLURSHIFT_SEED, else 0)"
     )
     experiment.add_argument("--n-points", type=int, default=100)
     experiment.add_argument(

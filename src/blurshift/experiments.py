@@ -17,9 +17,7 @@ how replications are scheduled.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
-from typing import Optional
 
 import numpy as np
 
@@ -36,8 +34,6 @@ from .engine import (
 from .kernels import GaussianKernel
 
 __all__ = [
-    "MixtureSpec",
-    "contaminated_gaussian_mixture",
     "ExperimentConfig",
     "SummaryStat",
     "ExperimentReport",
@@ -45,7 +41,6 @@ __all__ = [
     "ConvergenceRateReport",
     "summarize",
     "sample_gaussian",
-    "sample_mixture",
     "replication_rng",
     "run_efficiency",
     "run_robustness",
@@ -73,70 +68,10 @@ class TooFewConvergedError(RuntimeError):
 AUTO = "auto"
 DEFAULT_ROBUSTNESS_TRUNCATION = 3.0
 
-
-@dataclass(frozen=True)
-class MixtureSpec:
-    """Fixed-design 1-d Gaussian mixture: exact per-component counts,
-    never a multinomial draw.
-
-    proportions must sum to 1 and, when sampling n points, each
-    proportion * n must be a whole number.
-    """
-
-    means: tuple
-    stds: tuple
-    proportions: tuple
-    labels: tuple = ()
-
-    def __post_init__(self):
-        means = tuple(float(v) for v in self.means)
-        stds = tuple(float(v) for v in self.stds)
-        props = tuple(float(v) for v in self.proportions)
-        if not means or len(means) != len(stds) or len(means) != len(props):
-            raise ValueError("means, stds and proportions must have equal nonzero length")
-        if any(not (s > 0 and math.isfinite(s)) for s in stds):
-            raise ValueError("component stds must be positive and finite")
-        if any(not (0 < p <= 1) for p in props):
-            raise ValueError("proportions must lie in (0, 1]")
-        if abs(sum(props) - 1.0) > 1e-12:
-            raise ValueError("proportions must sum to 1")
-        labels = tuple(self.labels) if self.labels else tuple(
-            f"component_{i}" for i in range(len(means))
-        )
-        if len(labels) != len(means):
-            raise ValueError("labels must match the number of components")
-        object.__setattr__(self, "means", means)
-        object.__setattr__(self, "stds", stds)
-        object.__setattr__(self, "proportions", props)
-        object.__setattr__(self, "labels", labels)
-
-    def component_counts(self, n: int) -> tuple:
-        counts = []
-        for p in self.proportions:
-            c = p * n
-            r = round(c)
-            if abs(c - r) > 1e-9:
-                raise ValueError(
-                    f"proportion {p} of {n} points is not a whole number of draws"
-                )
-            counts.append(int(r))
-        if sum(counts) != n:
-            raise ValueError("component counts do not sum to the requested size")
-        return tuple(counts)
-
-
-def contaminated_gaussian_mixture(
-    outlier_mean: float = 5.0,
-    outlier_std: float = 1.0,
-    outlier_share: float = 0.05,
-) -> MixtureSpec:
-    """A standard normal core plus a small far component labeled 'outlier'."""
-    return MixtureSpec(
-        means=(0.0, outlier_mean),
-        stds=(1.0, outlier_std),
-        proportions=(1.0 - outlier_share, outlier_share),
-        labels=("core", "outlier"),
-    )
+# The robustness sample is a fixed design: one point in OUTLIER_ONE_IN is
+# an outlier, drawn from N(OUTLIER_MEAN, 1) after the N(0, 1) core.
+OUTLIER_ONE_IN = 20
+OUTLIER_MEAN = 5.0
 
 
 @dataclass(frozen=True)
@@ -149,6 +84,9 @@ class ExperimentConfig:
     and outlier separation would hinge on float underflow. The default
     "auto" resolves per kind: 3.0 for robustness, so the outlier cluster
     decouples deterministically, and None for everything else.
+
+    n_points: for robustness a multiple of OUTLIER_ONE_IN, so the outlier
+    count is exact.
     """
 
     kind: str
@@ -156,7 +94,6 @@ class ExperimentConfig:
     n_points: int = 100
     replications: int = 2000
     seed: int = 0
-    mixture: Optional[MixtureSpec] = None
     truncation_multiple: object = AUTO
     stop_displacement: float = DEFAULT_STOP_DISPLACEMENT
     max_iterations: int = DEFAULT_MAX_ITERATIONS
@@ -170,12 +107,19 @@ class ExperimentConfig:
                 DEFAULT_ROBUSTNESS_TRUNCATION if self.kind == "robustness" else None
             )
             object.__setattr__(self, "truncation_multiple", resolved)
-        if self.truncation_multiple is not None and not isinstance(
-            self.truncation_multiple, (int, float)
-        ):
-            raise ValueError("truncation_multiple must be a number, None, or 'auto'")
+        multiple = self.truncation_multiple
+        if multiple is not None and not (isinstance(multiple, (int, float)) and multiple > 0):
+            raise ValueError(
+                f"truncation_multiple must be a positive number, None, or 'auto', "
+                f"got {multiple!r}"
+            )
         if self.n_points < 1:
             raise ValueError("n_points must be at least 1")
+        if self.kind == "robustness" and self.n_points % OUTLIER_ONE_IN:
+            raise ValueError(
+                f"n_points must be a multiple of {OUTLIER_ONE_IN} for robustness "
+                f"(one outlier in {OUTLIER_ONE_IN}), got {self.n_points}"
+            )
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
         if not 0 <= int(self.seed) < 2**64:
@@ -291,20 +235,12 @@ def sample_gaussian(n: int, mean, cov, rng: np.random.Generator) -> PointSet:
     return PointSet(draws)
 
 
-def sample_mixture(mixture: MixtureSpec, n: int, rng: np.random.Generator):
-    """Draw the fixed-design mixture: exactly proportion * n points from each
-    component, in component order. Returns (PointSet, component labels)."""
-    counts = mixture.component_counts(n)
-    blocks = []
-    labels = []
-    for mean, std, count, label in zip(
-        mixture.means, mixture.stds, counts, mixture.labels
-    ):
-        if count:
-            blocks.append(rng.standard_normal(count) * std + mean)
-            labels.extend([label] * count)
-    x = np.concatenate(blocks)
-    return PointSet(x), np.array(labels)
+def _contaminated_sample(n: int, rng: np.random.Generator) -> PointSet:
+    """The robustness design: n - n // OUTLIER_ONE_IN core points, then the
+    outliers, exact counts and never a multinomial draw."""
+    outliers = n // OUTLIER_ONE_IN
+    core = rng.standard_normal(n - outliers)
+    return PointSet(np.concatenate([core, rng.standard_normal(outliers) + OUTLIER_MEAN]))
 
 
 def _run_comparison(config: ExperimentConfig, draw) -> ExperimentReport:
@@ -356,16 +292,14 @@ def run_efficiency(config: ExperimentConfig) -> ExperimentReport:
 
 
 def run_robustness(config: ExperimentConfig) -> ExperimentReport:
-    """Same comparison on contaminated samples. The mixture defaults to the
-    95/5 far-outlier design; the majority mode discards the outlier cluster
-    whenever the kernel truncation keeps it decoupled."""
+    """Same comparison on the 95/5 far-outlier design; the majority mode
+    discards the outlier cluster whenever the kernel truncation keeps it
+    decoupled."""
     if config.kind != "robustness":
         raise ValueError("config.kind must be 'robustness'")
-    mixture = config.mixture or contaminated_gaussian_mixture()
 
     def draw(rng):
-        points, _ = sample_mixture(mixture, config.n_points, rng)
-        return points
+        return _contaminated_sample(config.n_points, rng)
 
     return _run_comparison(config, draw)
 
@@ -381,8 +315,7 @@ def run_convergence_rate(config: ExperimentConfig) -> ConvergenceRateReport:
     def series(mode: str) -> ConvergenceSeries:
         _, trace = run(points, replace(config.engine_config(mode), trace_level="full"))
         means = np.array([float(x[:, 0].mean()) for x in trace.positions])
-        stds = np.array([float(x[:, 0].std(ddof=1)) for x in trace.positions])
-        return ConvergenceSeries(mode=mode, means=means, stds=stds)
+        return ConvergenceSeries(mode=mode, means=means, stds=trace.stds[:, 0])
 
     return ConvergenceRateReport(
         config=config,

@@ -49,6 +49,18 @@ def src_env() -> dict:
     return env
 
 
+def run_cli_subprocess(tmp_path, *argv, env=None):
+    """Run ``python -m blurshift`` in a subprocess, so numpy's warnings reach
+    stderr as they do for a user rather than pytest's warning capture.
+    Returns (exit code, stdout lines, stderr text)."""
+    out = subprocess.run(
+        [sys.executable, "-m", "blurshift", *argv],
+        capture_output=True, text=True, cwd=tmp_path, env={**src_env(), **(env or {})},
+    )
+    assert "Traceback" not in out.stderr, out.stderr
+    return out.returncode, out.stdout.splitlines(), out.stderr
+
+
 @pytest.fixture
 def sample_csv(tmp_path):
     rng = np.random.default_rng(0)
@@ -170,18 +182,15 @@ class TestCluster:
         assert json.loads(out.read_text())["config"]["data"] == data
 
     def test_wide_cloud_trace_has_finite_stds(self, tmp_path):
-        # a subprocess, so numpy's warnings would reach stderr as they do
-        # for a user; the squared deviations fit a double, their sum does not
+        # the squared deviations fit a double, their sum does not
         pts = write(tmp_path / "wide.csv", "0\n0\n0\n1.3e154\n1.3e154\n1.3e154\n")
         trace = tmp_path / "t.csv"
-        out = subprocess.run(
-            [sys.executable, "-m", "blurshift", "cluster", "--input", pts,
-             "--output", str(tmp_path / "w.json"), "--trace", str(trace), "--tau", "1"],
-            capture_output=True, text=True, env=src_env(),
+        code, lines, stderr = run_cli_subprocess(
+            tmp_path, "cluster", "--input", pts, "--output", str(tmp_path / "w.json"),
+            "--trace", str(trace), "--tau", "1",
         )
-        assert out.returncode == 0
-        assert out.stderr == ""
-        lines = out.stdout.splitlines()
+        assert code == 0
+        assert stderr == ""
         assert len(lines) == 1
         assert json.loads(lines[0])["subcommand"] == "cluster"
         stds = np.loadtxt(trace, delimiter=",", skiprows=1, usecols=3, ndmin=1)
@@ -279,6 +288,40 @@ class TestExperiment:
         assert echo["config"]["seed"] == 99
         assert json.loads(out.read_text())["config"]["seed"] == 99
 
+    def test_bad_seed_env_fails_experiment_only(self, tmp_path, sample_csv):
+        env = {"BLURSHIFT_SEED": "abc"}
+        for argv in (
+            ["theory", "--tau", "1", "--output", "t.csv"],
+            ["cluster", "--input", sample_csv, "--output", "c.json", "--tau", "1"],
+            ["diagnose", "--input", sample_csv, "--output", "d.json", "--tau", "1"],
+        ):
+            code, lines, stderr = run_cli_subprocess(tmp_path, *argv, env=env)
+            assert code == 0, stderr
+            assert len(lines) == 1
+        code, lines, stderr = run_cli_subprocess(
+            tmp_path, "experiment", "--kind", "efficiency", "--tau", "1",
+            "--reps", "2", "--out", "e.json", env=env,
+        )
+        assert code == 1
+        assert lines == []
+        errors = stderr.splitlines()
+        assert len(errors) == 1
+        error = json.loads(errors[0])["error"]
+        assert error["code"] == "invalid-argument"
+        assert "BLURSHIFT_SEED" in error["message"]
+        assert not (tmp_path / "e.json").exists()
+
+    @pytest.mark.parametrize("multiple", ["-2", "nan"])
+    def test_bad_truncation_multiple_named(self, capsys, tmp_path, multiple):
+        code, _, err = run_cli(
+            capsys, "experiment", "--kind", "robustness", "--tau", "1",
+            "--reps", "4", "--out", str(tmp_path / "r.json"),
+            "--truncation-multiple", multiple,
+        )
+        assert code == 1
+        assert err["error"]["code"] == "invalid-argument"
+        assert "truncation_multiple" in err["error"]["message"]
+
     def test_robustness_truncation_defaults_on(self, capsys, tmp_path):
         out = tmp_path / "rep.json"
         code, echo, _ = run_cli(
@@ -314,6 +357,20 @@ class TestExperiment:
         first = rows[1].split(",")
         assert first[0] == "blurring"
         assert float(first[4]) == pytest.approx(math.log10(float(first[3])))
+
+    def test_convergence_rate_single_point_is_quiet(self, tmp_path):
+        # one point has no sample spread: the series is 0, with no warnings
+        out = tmp_path / "cr.json"
+        code, lines, stderr = run_cli_subprocess(
+            tmp_path, "experiment", "--kind", "convergence-rate", "--tau", "1",
+            "--n-points", "1", "--out", str(out),
+        )
+        assert code == 0
+        assert len(lines) == 1
+        assert stderr == ""
+        report = json.loads(out.read_text())
+        for mode in ("blurring", "nonblurring"):
+            assert report[mode]["stds"] == [0.0] * len(report[mode]["stds"])
 
 
 class TestDiagnose:
@@ -466,18 +523,15 @@ class TestErrorSurface:
 
     @staticmethod
     def assert_one_overflow_line(tmp_path, points_text):
-        # a subprocess, so numpy's warnings would reach stderr as they do
-        # for a user, not pytest's warning capture
         pts = write(tmp_path / "wide.csv", points_text)
-        out = subprocess.run(
-            [sys.executable, "-m", "blurshift", "cluster", "--input", pts,
-             "--output", str(tmp_path / "r.json"), "--tau", "1"],
-            capture_output=True, text=True, env=src_env(),
+        code, stdout, stderr = run_cli_subprocess(
+            tmp_path, "cluster", "--input", pts, "--output", str(tmp_path / "r.json"),
+            "--tau", "1",
         )
-        assert out.returncode == 1
-        assert out.stdout == ""
-        lines = out.stderr.splitlines()
-        assert len(lines) == 1, out.stderr
+        assert code == 1
+        assert stdout == []
+        lines = stderr.splitlines()
+        assert len(lines) == 1, stderr
         assert json.loads(lines[0])["error"]["code"] == "invalid-argument"
         assert "overflow" in json.loads(lines[0])["error"]["message"]
 
@@ -496,16 +550,12 @@ class TestErrorSurface:
 def test_import_loads_neither_logging_nor_thread_pool():
     # the engine imports its thread pool only for steps that use one:
     # concurrent.futures pulls in logging, a cost on every CLI start
-    import blurshift
-
-    src = os.path.dirname(os.path.dirname(os.path.abspath(blurshift.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     code = (
         "import sys, blurshift.cli; "
         "print([m for m in ('logging', 'concurrent.futures') if m in sys.modules])"
     )
     out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-c", code], capture_output=True, text=True, env=src_env(),
+        check=True,
     )
     assert out.stdout.strip() == "[]"

@@ -5,27 +5,27 @@ is deterministic; nothing here depends on luck. Full-scale table
 reproduction lives in the acceptance suite.
 """
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from blurshift import experiments
+from blurshift import cli, experiments
 from blurshift.engine import extract_clusters, majority_mode, run
 from blurshift.experiments import (
+    _contaminated_sample,
     AUTO,
     DEFAULT_ROBUSTNESS_TRUNCATION,
     ConvergenceRateReport,
     ExperimentConfig,
-    MixtureSpec,
+    OUTLIER_MEAN,
     SummaryStat,
-    contaminated_gaussian_mixture,
     replication_rng,
     run_convergence_rate,
     run_efficiency,
     run_robustness,
     sample_gaussian,
-    sample_mixture,
     summarize,
 )
 
@@ -107,57 +107,65 @@ class TestSampleGaussian:
 
 
 class TestMixture:
+    """The robustness sample: the fixed 95/5 design of N(0, 1) and N(5, 1)."""
+
+    # recorded from the general mixture sampler this draw replaced
+    RECORDED = {
+        (0, 0): (
+            33.10966934907156,
+            [0.1257302210933933, -0.1321048632913019, 0.6404226504432821,
+             0.10490011715303971, -0.535669373161111],
+            [6.031453084869472, 5.161009576715345, 4.414471175876663,
+             3.658780285923331, 3.598479785082572],
+        ),
+        (7, 3): (
+            23.007851039670193,
+            [-1.667279001670178, 0.06387511169027424, 1.4946322078314938,
+             -1.128395246104112, -0.41154969128643465],
+            [4.975233253858126, 4.636932259533157, 4.891030535624182,
+             4.734141210554679, 5.8810998736483775],
+        ),
+    }
+
     def test_canonical_contaminated_design(self):
-        mix = contaminated_gaussian_mixture()
-        assert mix.means == (0.0, 5.0)
-        assert mix.proportions == (0.95, 0.05)
-        assert mix.labels == ("core", "outlier")
+        for stream, (total, first, last) in self.RECORDED.items():
+            pts = _contaminated_sample(100, replication_rng(*stream))
+            x = pts.positions[:, 0]
+            assert pts.positions.shape == (100, 1)
+            assert float(x.sum()) == total
+            assert x[:5].tolist() == first
+            assert x[-5:].tolist() == last
 
     def test_exact_component_counts(self):
-        mix = contaminated_gaussian_mixture()
-        pts, labels = sample_mixture(mix, 100, replication_rng(0, 0))
-        assert pts.n == 100
-        assert int((labels == "outlier").sum()) == 5
-        assert int((labels == "core").sum()) == 95
+        # the split is fixed by design, not redrawn: whatever the stream,
+        # the first n - n // 20 draws are the core, the rest the outliers
+        for n in (20, 40, 100):
+            for seed in range(5):
+                twin = replication_rng(seed, 0)
+                core = twin.standard_normal(n - n // 20)
+                outliers = twin.standard_normal(n // 20) + OUTLIER_MEAN
+                x = _contaminated_sample(n, replication_rng(seed, 0)).positions[:, 0]
+                assert np.array_equal(x[: n - n // 20], core)
+                assert np.array_equal(x[n - n // 20 :], outliers)
 
-    def test_counts_deterministic_across_seeds(self):
-        # the 95/5 split is fixed by design, not redrawn
-        mix = contaminated_gaussian_mixture()
-        for seed in range(5):
-            _, labels = sample_mixture(mix, 100, replication_rng(seed, 0))
-            assert int((labels == "outlier").sum()) == 5
-
-    def test_fractional_counts_rejected(self):
-        mix = contaminated_gaussian_mixture()
-        with pytest.raises(ValueError):
-            sample_mixture(mix, 101, replication_rng(0, 0))
-
-    def test_single_component_matches_sample_gaussian(self):
-        mix = MixtureSpec(means=(0.0,), stds=(1.0,), proportions=(1.0,))
-        pts_mix, labels = sample_mixture(mix, 40, np.random.default_rng(13))
-        pts_ref = sample_gaussian(40, 0.0, 1.0, np.random.default_rng(13))
-        assert np.array_equal(pts_mix.positions, pts_ref.positions)
-        assert set(labels) == {"component_0"}
+    def test_fractional_counts_rejected(self, capsys, tmp_path):
+        with pytest.raises(ValueError, match="n_points"):
+            ExperimentConfig(kind="robustness", tau=1.0, n_points=101)
+        ExperimentConfig(kind="efficiency", tau=1.0, n_points=101)
+        ExperimentConfig(kind="convergence_rate", tau=1.0, n_points=101)
+        code = cli.main(
+            ["experiment", "--kind", "robustness", "--tau", "1", "--reps", "2",
+             "--n-points", "101", "--out", str(tmp_path / "r.json")]
+        )
+        err = json.loads(capsys.readouterr().err)
+        assert code == 1
+        assert err["error"]["code"] == "invalid-argument"
+        assert "n_points" in err["error"]["message"]
 
     def test_mixture_mean_matches_design(self):
         # 0.95*0 + 0.05*5 = 0.25
-        mix = contaminated_gaussian_mixture()
-        pts, _ = sample_mixture(mix, 20_000, np.random.default_rng(2))
+        pts = _contaminated_sample(20_000, np.random.default_rng(2))
         assert abs(pts.positions.mean() - 0.25) < 0.05
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            dict(means=(), stds=(), proportions=()),
-            dict(means=(0.0, 1.0), stds=(1.0,), proportions=(0.5, 0.5)),
-            dict(means=(0.0, 1.0), stds=(1.0, 1.0), proportions=(0.6, 0.6)),
-            dict(means=(0.0,), stds=(0.0,), proportions=(1.0,)),
-            dict(means=(0.0,), stds=(1.0,), proportions=(1.0,), labels=("a", "b")),
-        ],
-    )
-    def test_invalid_specs(self, kwargs):
-        with pytest.raises(ValueError):
-            MixtureSpec(**kwargs)
 
 
 class TestExperimentConfig:
@@ -200,6 +208,13 @@ class TestExperimentConfig:
     def test_invalid_configs(self, kwargs):
         with pytest.raises(ValueError):
             ExperimentConfig(**kwargs)
+
+    @pytest.mark.parametrize("kind", ["robustness", "efficiency"])
+    @pytest.mark.parametrize("multiple", [-2.0, 0.0, math.nan])
+    def test_bad_truncation_multiple_named(self, kind, multiple):
+        # the kernel would reject it too, but name its own support_radius
+        with pytest.raises(ValueError, match="truncation_multiple"):
+            ExperimentConfig(kind=kind, tau=1.0, truncation_multiple=multiple)
 
     def test_wrong_kind_rejected_by_runners(self):
         cfg = ExperimentConfig(kind="efficiency", tau=1.0, replications=2)
@@ -323,17 +338,8 @@ class TestRunRobustness:
 
     def test_default_mixture_is_contaminated(self):
         cfg = ExperimentConfig(kind="robustness", tau=1.0, replications=2, seed=0)
-        assert cfg.mixture is None
-        rep = run_robustness(cfg)  # falls back to the 95/5 design
+        rep = run_robustness(cfg)  # the 95/5 design
         assert rep.blurring.count == 2
-
-    def test_custom_mixture_used(self):
-        clean = MixtureSpec(means=(0.0,), stds=(1.0,), proportions=(1.0,))
-        cfg = ExperimentConfig(
-            kind="robustness", tau=1.0, replications=10, seed=3, mixture=clean
-        )
-        rep = run_robustness(cfg)
-        assert abs(rep.sample_mean.mean) < 0.15  # no contamination bias
 
 
 class TestRunConvergenceRate:
