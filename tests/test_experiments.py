@@ -136,17 +136,26 @@ class TestMixture:
             assert x[:5].tolist() == first
             assert x[-5:].tolist() == last
 
-    def test_exact_component_counts(self):
-        # the split is fixed by design, not redrawn: whatever the stream,
+    @staticmethod
+    def _assert_fixed_split(n, seed):
         # the first n - n // 20 draws are the core, the rest the outliers
+        twin = replication_rng(seed, 0)
+        core = twin.standard_normal(n - n // 20)
+        outliers = twin.standard_normal(n // 20) + OUTLIER_MEAN
+        x = _contaminated_sample(n, replication_rng(seed, 0)).positions[:, 0]
+        assert x.shape == (n,)
+        assert np.array_equal(x[: n - n // 20], core)
+        assert np.array_equal(x[n - n // 20 :], outliers)
+
+    def test_exact_component_counts(self):
         for n in (20, 40, 100):
-            for seed in range(5):
-                twin = replication_rng(seed, 0)
-                core = twin.standard_normal(n - n // 20)
-                outliers = twin.standard_normal(n // 20) + OUTLIER_MEAN
-                x = _contaminated_sample(n, replication_rng(seed, 0)).positions[:, 0]
-                assert np.array_equal(x[: n - n // 20], core)
-                assert np.array_equal(x[n - n // 20 :], outliers)
+            self._assert_fixed_split(n, 0)
+
+    def test_counts_deterministic_across_seeds(self):
+        # the 95/5 split is fixed by design, not redrawn: 5 outliers in 100
+        # whatever the stream
+        for seed in range(5):
+            self._assert_fixed_split(100, seed)
 
     def test_fractional_counts_rejected(self, capsys, tmp_path):
         with pytest.raises(ValueError, match="n_points"):
