@@ -65,8 +65,6 @@ _ERROR_CODES = (
     (ValueError, "invalid-argument"),
 )
 
-_CATCHABLE = tuple(t for t, _ in _ERROR_CODES)
-
 
 def _error_code(exc: BaseException) -> str:
     for exc_type, code in _ERROR_CODES:
@@ -245,6 +243,11 @@ def _cmd_experiment(args) -> None:
     if args.reps is None:
         # Fig-1 style series come from one sample; the tables need many
         reps = 1 if kind == "convergence_rate" else 2000
+    elif kind == "convergence_rate" and args.reps != 1:
+        raise ValueError(
+            f"--reps must be 1 for convergence-rate, which runs one sample; "
+            f"got {args.reps}"
+        )
     else:
         reps = args.reps
     config = ExperimentConfig(
@@ -431,7 +434,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         args.func(args)
-    except _CATCHABLE as exc:
+    except Exception as exc:
         _emit_error(exc)
         return 1
     return 0

@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .engine import (
     DEFAULT_MAX_ITERATIONS,
-    DEFAULT_STOP_DISPLACEMENT,
     ClusterResult,
     IterationTrace,
     PointSet,
@@ -41,7 +40,6 @@ __all__ = [
     "CounterexampleTrace",
     "UnsupportedDimensionError",
     "CounterexampleBreakdownError",
-    "FlipForcingSchedule",
     "hull_trace",
     "radius_trace",
     "directional_containment",
@@ -292,12 +290,7 @@ class CounterexampleTrace:
 
     states: np.ndarray
     weights: np.ndarray
-    deltas: tuple
     delta_min: float
-
-    @property
-    def iterations(self) -> int:
-        return self.states.shape[0] - 1
 
     def flip_count(self) -> int:
         """Number of consecutive sign alternations of the middle point."""
@@ -305,52 +298,57 @@ class CounterexampleTrace:
         return int(np.sum(signs[1:] * signs[:-1] < 0))
 
 
-@dataclass
-class FlipForcingSchedule:
-    """Solves, each iteration, for weights that push the middle point to the
-    opposite sign at magnitude ``delta_min`` while both outer points stay
-    beyond +-1/2.
+# relative margin past delta_min so rounding cannot drop |x1| below it
+_FLIP_MARGIN = 1e-9
+# largest exponent k tried for a power-of-two outer weight 2**k
+_MAX_DOUBLINGS = 200
 
-    The two outer weights start from the smallest powers of two keeping
-    their own points outside the central band, then one of them is raised by
-    an exact linear solve so the middle point lands at the sign-flipped
-    target. ``floor_doublings`` shifts the starting rung; the driver raises
-    it when float rounding of the true update lands a hair inside the band.
+
+def _flip_weights(iteration: int, x: np.ndarray, delta_min: float, floor: int) -> np.ndarray:
+    """Weights that push the middle point of ``x`` to the opposite sign at
+    magnitude ``delta_min`` while both outer points stay beyond +-1/2.
+
+    The two outer weights start from the smallest powers of two, from
+    2**floor up, keeping their own points outside the central band; then one
+    of them is raised by an exact linear solve so the middle point lands at
+    the sign-flipped target.
     """
+    x1, x2, x3 = (float(v) for v in x)
+    target = -math.copysign(delta_min * (1.0 + _FLIP_MARGIN), x1)
 
-    delta_min: float = 0.05
-    # relative margin past delta_min so rounding cannot drop |x1| below it
-    margin: float = 1e-9
-    max_doublings: int = 200
-    floor_doublings: int = 0
+    def smallest_power(pred) -> float:
+        for k in range(floor, _MAX_DOUBLINGS + 1):
+            w = 2.0**k
+            if pred(w):
+                return w
+        raise CounterexampleBreakdownError(
+            iteration, "no power-of-two weight satisfies the band constraint"
+        )
 
-    def __call__(self, iteration: int, positions: np.ndarray) -> np.ndarray:
-        x1, x2, x3 = (float(v) for v in np.asarray(positions).ravel())
-        target = -math.copysign(self.delta_min * (1.0 + self.margin), x1)
+    # each outer point must stay outside the central band on its own
+    w2 = smallest_power(lambda w: (2 * w * x2 + x1) / (2 * w + 1) > 0.5)
+    w3 = smallest_power(lambda w: (2 * w * x3 + x1) / (2 * w + 1) < -0.5)
+    x1_next = (2 * x1 + w2 * x2 + w3 * x3) / (2 + w2 + w3)
+    # raise exactly one weight so the middle point lands on the target;
+    # raising w3 pushes x3 further out, raising w2 pushes x2 further out,
+    # so the band constraints cannot be un-solved by this step
+    if x1_next > target:
+        w3 = (2 * (x1 - target) + w2 * (x2 - target)) / (target - x3)
+    elif x1_next < target:
+        w2 = (2 * (target - x1) + w3 * (target - x3)) / (x2 - target)
+    if not (math.isfinite(w2) and w2 > 0 and math.isfinite(w3) and w3 > 0):
+        raise CounterexampleBreakdownError(iteration, "weight solve left the feasible range")
+    return np.array([1.0, w2, w3])
 
-        def smallest_power(pred: Callable[[float], bool]) -> float:
-            for k in range(self.floor_doublings, self.max_doublings + 1):
-                w = 2.0**k
-                if pred(w):
-                    return w
-            raise CounterexampleBreakdownError(
-                iteration, "no power-of-two weight satisfies the band constraint"
-            )
 
-        # each outer point must stay outside the central band on its own
-        w2 = smallest_power(lambda w: (2 * w * x2 + x1) / (2 * w + 1) > 0.5)
-        w3 = smallest_power(lambda w: (2 * w * x3 + x1) / (2 * w + 1) < -0.5)
-        x1_next = (2 * x1 + w2 * x2 + w3 * x3) / (2 + w2 + w3)
-        # raise exactly one weight so the middle point lands on the target;
-        # raising w3 pushes x3 further out, raising w2 pushes x2 further out,
-        # so the band constraints cannot be un-solved by this step
-        if x1_next > target:
-            w3 = (2 * (x1 - target) + w2 * (x2 - target)) / (target - x3)
-        elif x1_next < target:
-            w2 = (2 * (target - x1) + w3 * (target - x3)) / (x2 - target)
-        if not (math.isfinite(w2) and w2 > 0 and math.isfinite(w3) and w3 > 0):
-            raise CounterexampleBreakdownError(iteration, "weight solve left the feasible range")
-        return np.array([1.0, w2, w3])
+def _three_points(deltas: tuple) -> np.ndarray:
+    """The configuration (d1, 1/2 + d2, -1/2 - d3); each offset must lie in
+    (0, 1/4) so all pair distances start on the correct side of the
+    kernel's bands."""
+    d1, d2, d3 = (float(v) for v in deltas)
+    if not all(0.0 < v < 0.25 for v in (d1, d2, d3)):
+        raise ValueError("each delta must lie strictly between 0 and 1/4")
+    return np.array([d1, 0.5 + d2, -0.5 - d3])
 
 
 def _oscillation_invariants_hold(new: np.ndarray, old_x1: float, delta_min: float) -> bool:
@@ -380,27 +378,21 @@ def run_counterexample(
     the kernel's bands. Raises CounterexampleBreakdownError if no weight
     assignment keeps the invariants at some iteration.
     """
-    d1, d2, d3 = (float(v) for v in deltas)
-    if not all(0.0 < v < 0.25 for v in (d1, d2, d3)):
-        raise ValueError("each delta must lie strictly between 0 and 1/4")
+    x = _three_points(deltas)
     if not 0.0 < delta_min < 0.25:
         raise ValueError("delta_min must lie strictly between 0 and 1/4")
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
     kernel = oscillation_kernel()
-    x = np.array([d1, 0.5 + d2, -0.5 - d3])
     states = [x.copy()]
     weights_hist = []
     for t in range(iterations):
-        # the schedule's closed-form feasibility check may disagree with the
-        # engine's rounding by an ulp; retry from a higher doubling rung
-        # until the true update keeps the invariants
+        # the closed-form feasibility check may disagree with the engine's
+        # rounding by an ulp; retry from a higher doubling rung until the
+        # true update keeps the invariants
         accepted = None
         for floor in range(0, 64):
-            schedule = FlipForcingSchedule(
-                delta_min=delta_min, floor_doublings=floor
-            )
-            w = schedule(t, x)
+            w = _flip_weights(t, x, delta_min, floor)
             new = blurring_step(PointSet(x, w), kernel).positions.ravel()
             if _oscillation_invariants_hold(new, float(x[0]), delta_min):
                 accepted = (w, new)
@@ -415,7 +407,6 @@ def run_counterexample(
     return CounterexampleTrace(
         states=np.array(states),
         weights=np.array(weights_hist),
-        deltas=(d1, d2, d3),
         delta_min=float(delta_min),
     )
 
@@ -424,7 +415,6 @@ def frozen_weight_run(
     deltas: tuple = (0.1, 0.1, 0.1),
     weights=None,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
-    stop_displacement: float = DEFAULT_STOP_DISPLACEMENT,
 ):
     """Run the same three-point configuration with weights held fixed.
 
@@ -432,15 +422,11 @@ def frozen_weight_run(
     CounterexampleTrace to confirm that freezing the adaptive choice
     restores convergence. Returns (final PointSet, IterationTrace).
     """
-    d1, d2, d3 = (float(v) for v in deltas)
-    if not all(0.0 < v < 0.25 for v in (d1, d2, d3)):
-        raise ValueError("each delta must lie strictly between 0 and 1/4")
-    x = np.array([d1, 0.5 + d2, -0.5 - d3])
+    x = _three_points(deltas)
     w = np.ones(3) if weights is None else np.asarray(weights, dtype=float)
     cfg = RunConfig(
         kernel=oscillation_kernel(),
         mode="blurring",
-        stop_displacement=stop_displacement,
         max_iterations=max_iterations,
         trace_level="full",
     )

@@ -40,7 +40,6 @@ __all__ = [
     "ConvergenceSeries",
     "ConvergenceRateReport",
     "summarize",
-    "sample_gaussian",
     "replication_rng",
     "run_efficiency",
     "run_robustness",
@@ -212,27 +211,9 @@ def replication_rng(seed: int, replication: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), int(replication)])
 
 
-def sample_gaussian(n: int, mean, cov, rng: np.random.Generator) -> PointSet:
-    """n i.i.d. Gaussian points with unit weights. Scalars are accepted for
-    the 1-d case; cov must be symmetric positive-definite."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    mu = np.atleast_1d(np.asarray(mean, dtype=float))
-    sigma = np.asarray(cov, dtype=float)
-    if sigma.ndim == 0:
-        sigma = sigma.reshape(1, 1)
-    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
-        raise ValueError("cov must be a square matrix")
-    if mu.shape != (sigma.shape[0],):
-        raise ValueError("mean and cov dimensions disagree")
-    if np.abs(sigma - sigma.T).max() > 1e-12 * max(1.0, np.abs(sigma).max()):
-        raise ValueError("cov must be symmetric")
-    try:
-        chol = np.linalg.cholesky(sigma)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("cov must be positive-definite") from exc
-    draws = rng.standard_normal((n, mu.size)) @ chol.T + mu
-    return PointSet(draws)
+def _standard_sample(n: int, rng: np.random.Generator) -> PointSet:
+    """The efficiency and convergence-rate design: n points from N(0, 1)."""
+    return PointSet(rng.standard_normal(n))
 
 
 def _contaminated_sample(n: int, rng: np.random.Generator) -> PointSet:
@@ -286,7 +267,7 @@ def run_efficiency(config: ExperimentConfig) -> ExperimentReport:
         raise ValueError("config.kind must be 'efficiency'")
 
     def draw(rng):
-        return sample_gaussian(config.n_points, 0.0, 1.0, rng)
+        return _standard_sample(config.n_points, rng)
 
     return _run_comparison(config, draw)
 
@@ -309,8 +290,7 @@ def run_convergence_rate(config: ExperimentConfig) -> ConvergenceRateReport:
     per-iteration mean and std of the cloud."""
     if config.kind != "convergence_rate":
         raise ValueError("config.kind must be 'convergence_rate'")
-    rng = replication_rng(config.seed, 0)
-    points = sample_gaussian(config.n_points, 0.0, 1.0, rng)
+    points = _standard_sample(config.n_points, replication_rng(config.seed, 0))
 
     def series(mode: str) -> ConvergenceSeries:
         _, trace = run(points, replace(config.engine_config(mode), trace_level="full"))

@@ -34,6 +34,15 @@ __all__ = [
 ]
 
 
+# a Gaussian evaluation divides by -2 tau^2, so tau^2 must be a normal
+# double and twice it finite
+_MIN_TAU_SQ = float(np.finfo(float).tiny)
+_MAX_TAU_SQ = float(np.finfo(float).max) / 2
+# squared distance, in units of tau^2, at and past which the Gaussian
+# influence exp(-z / 2) is exactly 0 in double precision
+_ZERO_SQ_DISTANCE = 1500.0
+
+
 class KernelConfigError(ValueError):
     """Raised when a kernel config mapping cannot be turned into a kernel."""
 
@@ -97,19 +106,22 @@ class GaussianKernel(Kernel):
     support_radius: float = math.inf
 
     def __post_init__(self):
-        if not (self.tau > 0 and math.isfinite(self.tau)):
-            raise ValueError("tau must be positive and finite")
+        if not (self.tau > 0 and _MIN_TAU_SQ <= self.tau * self.tau <= _MAX_TAU_SQ):
+            raise ValueError(
+                "tau must keep tau^2 a normal double and 2 tau^2 finite "
+                f"(about 1.5e-154 <= tau <= 9.5e153), got {self.tau!r}"
+            )
         if not self.support_radius > 0:
             raise ValueError("support_radius must be positive")
 
     def _fill_sq(self, z):
         r = self.support_radius
-        keep = None
-        if math.isfinite(r):
-            # entries past the cutoff are zeroed below; clamping them first
-            # keeps exp off its slow path for large negative arguments
-            keep = z <= r * r
-            np.minimum(z, r * r, out=z)
+        keep = z <= r * r if math.isfinite(r) else None
+        # exp(-750) is already exactly 0, so no influence changes: entries
+        # past the cutoff are zeroed below, and the clamp keeps exp off its
+        # slow path for large negative arguments and the divide from
+        # overflowing on clouds wide against tau
+        np.minimum(z, min(r * r, _ZERO_SQ_DISTANCE * self.tau * self.tau), out=z)
         np.divide(z, -2.0 * self.tau * self.tau, out=z)
         np.exp(z, out=z)
         if keep is not None:

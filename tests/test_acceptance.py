@@ -47,7 +47,6 @@ from blurshift.experiments import (
     ExperimentConfig,
     run_efficiency,
     run_robustness,
-    sample_gaussian,
 )
 from blurshift.kernels import GaussianKernel, TruncatedFlatKernel
 from blurshift.shrinkage import ShrinkState, covariance_step
@@ -101,13 +100,14 @@ def test_criterion_1_reference_sequences(tmp_path):
 
 def test_criterion_2_one_step_shrinkage():
     start = time.perf_counter()
-    pts = sample_gaussian(100_000, 0.0, 1.0, np.random.default_rng(1002))
+    pts = PointSet(np.random.default_rng(1002).standard_normal(100_000))
     stepped = blurring_step(pts, GaussianKernel(tau=2.0))
     std1 = float(stepped.positions.std(ddof=1))
     ok_1d = 0.19 <= std1 <= 0.21
 
     cov = np.array([[2.0, 0.6], [0.6, 0.5]])
-    pts2 = sample_gaussian(100_000, [0.0, 0.0], cov, np.random.default_rng(1003))
+    draws = np.random.default_rng(1003).standard_normal((100_000, 2))
+    pts2 = PointSet(draws @ np.linalg.cholesky(cov).T)
     stepped2 = blurring_step(pts2, GaussianKernel(tau=1.5))
     emp = np.cov(stepped2.positions.T, ddof=1)
     theory = covariance_step(ShrinkState(cov, 1.5)).covariance

@@ -13,6 +13,7 @@ import sys
 import numpy as np
 import pytest
 
+from blurshift import cli
 from blurshift.cli import _error_code, build_parser, main
 from blurshift.diagnostics import CounterexampleBreakdownError
 from blurshift.engine import IsolatedCenterError, RunConfig, run
@@ -196,6 +197,25 @@ class TestCluster:
         stds = np.loadtxt(trace, delimiter=",", skiprows=1, usecols=3, ndmin=1)
         assert stds.size >= 1 and np.all(np.isfinite(stds))
 
+    @pytest.mark.parametrize(
+        "points, flags",
+        [
+            ("0\n1e154\n", ["--tau", "1e-3"]),
+            ("0\n1e5\n", ["--tau", "1e-150", "--support-radius", "1e10"]),
+        ],
+    )
+    def test_wide_cloud_against_tau_is_quiet(self, tmp_path, points, flags):
+        # exp(-z / 2 tau^2) underflows to 0 long before the divide overflows
+        pts = write(tmp_path / "wide.csv", points)
+        out = tmp_path / "w.json"
+        code, lines, stderr = run_cli_subprocess(
+            tmp_path, "cluster", "--input", pts, "--output", str(out), *flags,
+        )
+        assert code == 0
+        assert stderr == ""
+        assert len(lines) == 1
+        assert json.loads(out.read_text())["n_clusters"] == 2
+
     def test_trace_with_level_none_rejected(self, capsys, tmp_path, sample_csv):
         code, _, err = run_cli(
             capsys, "cluster", "--input", sample_csv,
@@ -258,11 +278,11 @@ class TestExperiment:
         assert echo["config"]["replications"] == 12
 
     def test_reports_carry_no_workers_key(self, capsys, tmp_path):
-        for kind in ("efficiency", "convergence-rate"):
+        for kind, reps in (("efficiency", "2"), ("convergence-rate", "1")):
             out = tmp_path / f"{kind}.json"
             code, echo, _ = run_cli(
                 capsys, "experiment", "--kind", kind, "--tau", "2",
-                "--reps", "2", "--out", str(out),
+                "--reps", reps, "--out", str(out),
             )
             assert code == 0
             assert "workers" not in json.loads(out.read_text())
@@ -357,6 +377,17 @@ class TestExperiment:
         first = rows[1].split(",")
         assert first[0] == "blurring"
         assert float(first[4]) == pytest.approx(math.log10(float(first[3])))
+
+    def test_convergence_rate_reps_other_than_one_rejected(self, capsys, tmp_path):
+        out = tmp_path / "cr.json"
+        code, echo, err = run_cli(
+            capsys, "experiment", "--kind", "convergence-rate", "--tau", "1",
+            "--reps", "7", "--out", str(out),
+        )
+        assert code == 1 and echo is None
+        assert err["error"]["code"] == "invalid-argument"
+        assert "--reps" in err["error"]["message"]
+        assert not out.exists()
 
     def test_convergence_rate_single_point_is_quiet(self, tmp_path):
         # one point has no sample spread: the series is 0, with no warnings
@@ -502,6 +533,36 @@ class TestErrorSurface:
         assert _error_code(IsolatedCenterError(0)) == "isolated-center"
         assert _error_code(DimensionMismatchError("x")) == "dimension-mismatch"
         assert _error_code(KeyError("x")) == "internal-error"
+
+    def test_unmapped_exception_is_internal_error(self, capsys, tmp_path, monkeypatch):
+        def broken(*args):
+            raise KeyError("boom")
+
+        monkeypatch.setattr(cli, "blurring_std_sequence", broken)
+        code, stdout, stderr = run_cli(
+            capsys, "theory", "--tau", "1", "--output", str(tmp_path / "t.csv")
+        )
+        assert code == 1
+        assert stdout is None
+        assert stderr["error"]["code"] == "internal-error"
+
+    @pytest.mark.parametrize(
+        "command, code",
+        [
+            (["cluster", "--input", "pts.csv", "--output", "r.json"], "invalid-kernel"),
+            (["experiment", "--kind", "efficiency", "--out", "r.json"], "invalid-argument"),
+        ],
+    )
+    @pytest.mark.parametrize("tau", ["1e160", "1e-170"])
+    def test_bandwidth_out_of_range(self, capsys, tmp_path, monkeypatch, command, code, tau):
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path / "pts.csv", "0\n1\n")
+        status, stdout, stderr = run_cli(capsys, *command, "--tau", tau)
+        assert status == 1
+        assert stdout is None
+        assert stderr["error"]["code"] == code
+        assert "tau" in stderr["error"]["message"]
+        assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize(
         "argv",

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 
 from blurshift.diagnostics import (
     CounterexampleBreakdownError,
-    FlipForcingSchedule,
     UnsupportedDimensionError,
     directional_containment,
     frozen_weight_run,
@@ -17,7 +17,14 @@ from blurshift.diagnostics import (
     radius_trace,
     run_counterexample,
 )
-from blurshift.diagnostics import _hull_2d, _hull_directions, _overshoot, _tolerance
+from blurshift.diagnostics import (
+    _MAX_DOUBLINGS,
+    _flip_weights,
+    _hull_2d,
+    _hull_directions,
+    _overshoot,
+    _tolerance,
+)
 from blurshift.engine import (
     ClusterResult,
     IterationTrace,
@@ -384,16 +391,30 @@ class TestCounterexample:
         with pytest.raises(ValueError):
             run_counterexample(delta_min=0.3)
 
+    def test_retried_run_is_pinned(self):
+        # at delta_min 0.2 the closed-form weights land a hair inside the
+        # band on some iterations, so the run retries from higher floors
+        tr = run_counterexample((0.2, 0.2, 0.2), iterations=50, delta_min=0.2)
+        assert tr.flip_count() == 50
+        digest = hashlib.sha256(tr.states.tobytes() + tr.weights.tobytes())
+        assert digest.hexdigest() == (
+            "a43ebbfc5d9f3708d182c9c375c34842069011b43c12a7270b0a53e50fd0a097"
+        )
+
+    def test_retries_exhausted_is_reported(self):
+        with pytest.raises(CounterexampleBreakdownError) as err:
+            run_counterexample((0.05, 0.05, 0.05), iterations=50, delta_min=0.2)
+        assert err.value.iteration == 35
+        assert "no doubling floor" in err.value.reason
+
     def test_schedule_produces_positive_weights(self):
-        sched = FlipForcingSchedule()
-        w = sched(0, np.array([0.1, 0.6, -0.6]))
+        w = _flip_weights(0, np.array([0.1, 0.6, -0.6]), 0.05, 0)
         assert w.shape == (3,)
         assert w[0] == 1.0 and np.all(w > 0)
 
     def test_schedule_breakdown_is_reported(self):
-        sched = FlipForcingSchedule(max_doublings=0)
         with pytest.raises(CounterexampleBreakdownError) as err:
-            sched(3, np.array([0.1, 0.5 + 1e-12, -0.6]))
+            _flip_weights(3, np.array([0.1, 0.5 + 1e-12, -0.6]), 0.05, _MAX_DOUBLINGS + 1)
         assert err.value.iteration == 3
 
 

@@ -31,6 +31,11 @@ EVERY_FAMILY = (
 )
 
 
+# the smallest tau whose square is a normal double, and the largest one
+# whose square doubled is finite
+TAU_RANGE = (1.4916681462400413e-154, 9.480751908109176e153)
+
+
 class TestGaussian:
     def test_frozen_values(self):
         k = GaussianKernel(tau=2.0)
@@ -51,10 +56,21 @@ class TestGaussian:
         with pytest.raises(ValueError):
             GaussianKernel(1.0).evaluate(-0.1)
 
-    @pytest.mark.parametrize("tau", [0.0, -1.0, math.nan, math.inf])
+    # the last four square to 0 or a subnormal, or twice their square
+    # overflows
+    @pytest.mark.parametrize(
+        "tau",
+        [0.0, -1.0, math.nan, math.inf, 1e-170, 1e154,
+         math.nextafter(TAU_RANGE[0], 0.0), math.nextafter(TAU_RANGE[1], math.inf)],
+    )
     def test_bad_bandwidth_rejected(self, tau):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="tau"):
             GaussianKernel(tau=tau)
+
+    @pytest.mark.parametrize("tau", TAU_RANGE)
+    def test_bandwidth_range_ends_accepted(self, tau):
+        k = GaussianKernel(tau=tau)
+        assert k.evaluate(0.0) == 1.0 and k.evaluate(tau) == math.exp(-0.5)
 
     def test_bad_support_rejected(self):
         with pytest.raises(ValueError):
