@@ -24,7 +24,6 @@ from .kernels import (
     ProfileReport,
     TabulatedKernel,
     TruncatedFlatKernel,
-    kernel_from_config,
     kernel_to_config,
     verify_profile,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "TabulatedKernel",
     "ProfileReport",
     "verify_profile",
-    "kernel_from_config",
     "kernel_to_config",
     "KernelConfigError",
     "__version__",

@@ -43,7 +43,14 @@ from .experiments import (
     run_efficiency,
     run_robustness,
 )
-from .kernels import KernelConfigError, kernel_from_config, kernel_to_config
+from .kernels import (
+    GaussianKernel,
+    Kernel,
+    KernelConfigError,
+    TabulatedKernel,
+    TruncatedFlatKernel,
+    kernel_to_config,
+)
 from .shrinkage import blurring_std_sequence, nonblurring_std_sequence
 
 __all__ = ["main", "build_parser"]
@@ -113,13 +120,18 @@ def _parse_pairs(text: str, what: str):
     return pairs
 
 
+# kernel family -> its class and the one flag it reads besides
+# --support-radius; the class takes that flag's value as its first argument
+_FAMILIES = {
+    "gaussian": (GaussianKernel, "tau"),
+    "truncated_flat": (TruncatedFlatKernel, "levels"),
+    "tabulated": (TabulatedKernel, "knots"),
+}
+
+
 def _add_kernel_flags(parser) -> None:
     group = parser.add_argument_group("kernel")
-    group.add_argument(
-        "--kernel",
-        choices=["gaussian", "truncated_flat", "tabulated"],
-        default="gaussian",
-    )
+    group.add_argument("--kernel", choices=list(_FAMILIES), default="gaussian")
     group.add_argument("--tau", type=float, help="gaussian bandwidth")
     group.add_argument(
         "--support-radius",
@@ -136,17 +148,27 @@ def _add_kernel_flags(parser) -> None:
     )
 
 
-def _kernel_config_from_args(args) -> dict:
-    config = {"family": args.kernel}
-    if args.tau is not None:
-        config["tau"] = args.tau
+def _kernel_from_args(args) -> Kernel:
+    """The kernel the kernel flags describe. A flag of another family, a
+    missing one, or a value the kernel rejects is a KernelConfigError that
+    names the flag."""
+    cls, own = _FAMILIES[args.kernel]
+    for _, flag in _FAMILIES.values():
+        if flag != own and getattr(args, flag) is not None:
+            raise KernelConfigError(f"--{flag} does not apply to --kernel {args.kernel}")
+    raw = getattr(args, own)
+    if raw is None:
+        raise KernelConfigError(f"--kernel {args.kernel} needs --{own}")
+    value = raw if own == "tau" else _parse_pairs(raw, f"--{own}")
+    given = f"--{own} {raw}"
+    extra = {}
     if args.support_radius is not None:
-        config["support_radius"] = args.support_radius
-    if args.levels is not None:
-        config["levels"] = _parse_pairs(args.levels, "--levels")
-    if args.knots is not None:
-        config["profile"] = _parse_pairs(args.knots, "--knots")
-    return config
+        extra["support_radius"] = args.support_radius
+        given += f" --support-radius {args.support_radius}"
+    try:
+        return cls(value, **extra)
+    except ValueError as exc:
+        raise KernelConfigError(f"{given}: {exc}") from exc
 
 
 def _add_engine_flags(parser, with_mode: bool = True) -> None:
@@ -184,7 +206,7 @@ def _run_and_label(args, points, kernel, trace_level: str, data=None):
 
 def _cmd_cluster(args) -> None:
     points = fileio.read_points_csv(args.input)
-    kernel = kernel_from_config(_kernel_config_from_args(args))
+    kernel = _kernel_from_args(args)
     data = None
     if args.data is not None:
         if args.mode != "nonblurring":
@@ -280,15 +302,13 @@ def _cmd_experiment(args) -> None:
 
 def _cmd_diagnose(args) -> None:
     points = fileio.read_points_csv(args.input)
-    kernel = kernel_from_config(_kernel_config_from_args(args))
+    kernel = _kernel_from_args(args)
     _, trace, clusters = _run_and_label(args, points, kernel, "full")
     checks = [c.strip() for c in args.checks.split(",") if c.strip()]
     runners = {
         "radius": lambda: radius_trace(trace),
         "hull": lambda: hull_trace(trace),
-        "directional": lambda: directional_containment(
-            trace, n_directions=args.n_directions, seed=args.direction_seed
-        ),
+        "directional": lambda: directional_containment(trace),
         "influence": lambda: influence_decay(trace, kernel, clusters),
     }
     unknown = set(checks) - set(runners) - {"auto"}
@@ -320,8 +340,6 @@ def _cmd_diagnose(args) -> None:
         "max_iterations": args.max_iterations,
         "merge_tolerance": args.merge_tolerance,
         "checks": checks,
-        "n_directions": args.n_directions,
-        "direction_seed": args.direction_seed,
     }
     report["config"] = resolved
     fileio._write_json(args.output, report)
@@ -329,7 +347,10 @@ def _cmd_diagnose(args) -> None:
 
 
 def _cmd_counterexample(args) -> None:
-    deltas = tuple(float(v) for v in args.deltas.split(","))
+    try:
+        deltas = tuple(float(v) for v in args.deltas.split(","))
+    except ValueError as exc:
+        raise ValueError(f"--deltas {args.deltas!r}: {exc}") from exc
     if len(deltas) != 3:
         raise ValueError("--deltas needs exactly three comma-separated values")
     trace = run_counterexample(
@@ -410,8 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma list from radius,hull,directional,influence; "
         "'auto' runs all that apply to the input dimension",
     )
-    diagnose.add_argument("--n-directions", type=int, default=20)
-    diagnose.add_argument("--direction-seed", type=int, default=0)
     _add_kernel_flags(diagnose)
     _add_engine_flags(diagnose)
     diagnose.set_defaults(func=_cmd_diagnose)

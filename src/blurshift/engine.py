@@ -148,8 +148,8 @@ class RunConfig:
             raise ValueError(f"unknown mode: {self.mode!r}")
         if self.trace_level not in ("none", "summary", "full"):
             raise ValueError(f"unknown trace_level: {self.trace_level!r}")
-        if not self.stop_displacement > 0:
-            raise ValueError("stop_displacement must be positive")
+        if not 0 < self.stop_displacement < math.inf:
+            raise ValueError("stop_displacement must be positive and finite")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
         if not isinstance(self.kernel, Kernel):
@@ -485,8 +485,8 @@ def extract_clusters(
     in point order in one pass over the labels. Whether the run converged
     is on its trace.
     """
-    if not merge_tolerance >= 0:
-        raise ValueError("merge_tolerance must be nonnegative")
+    if not 0 <= merge_tolerance < math.inf:
+        raise ValueError("merge_tolerance must be nonnegative and finite")
     x, w = final.positions, final.weights
     labels = _component_labels(x, merge_tolerance)
     sums = np.column_stack([np.bincount(labels, weights=w * xd) for xd in x.T])

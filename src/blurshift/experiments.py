@@ -17,6 +17,7 @@ how replications are scheduled.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -124,8 +125,8 @@ class ExperimentConfig:
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must fit an unsigned 64-bit integer")
         # extract_clusters would only see a bad tolerance after a whole run
-        if not self.merge_tolerance >= 0:
-            raise ValueError("merge_tolerance must be nonnegative")
+        if not 0 <= self.merge_tolerance < math.inf:
+            raise ValueError("merge_tolerance must be nonnegative and finite")
         # the kernel and the run settings reject bad values themselves
         self.engine_config("blurring")
 

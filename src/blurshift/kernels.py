@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -28,14 +27,14 @@ __all__ = [
     "Kernel",
     "ProfileReport",
     "verify_profile",
-    "kernel_from_config",
     "kernel_to_config",
     "KernelConfigError",
 ]
 
 
 # a Gaussian evaluation divides by -2 tau^2, so tau^2 must be a normal
-# double and twice it finite
+# double and twice it finite; the shrinkage recursions hold their lengths
+# to the same range
 _MIN_TAU_SQ = float(np.finfo(float).tiny)
 _MAX_TAU_SQ = float(np.finfo(float).max) / 2
 # squared distance, in units of tau^2, at and past which the Gaussian
@@ -43,8 +42,19 @@ _MAX_TAU_SQ = float(np.finfo(float).max) / 2
 _ZERO_SQ_DISTANCE = 1500.0
 
 
+def _check_scale(name: str, value: float) -> None:
+    """Reject a length unless its square is a normal double and twice its
+    square is finite, so that a sum of two such squares cannot overflow."""
+    if not (value > 0 and _MIN_TAU_SQ <= value * value <= _MAX_TAU_SQ):
+        raise ValueError(
+            f"{name} must keep {name}^2 a normal double and 2 {name}^2 finite "
+            f"(about 1.5e-154 <= {name} <= 9.5e153), got {value!r}"
+        )
+
+
 class KernelConfigError(ValueError):
-    """Raised when a kernel config mapping cannot be turned into a kernel."""
+    """A ValueError for kernel settings from outside the program, such as
+    command-line flags, that describe no valid kernel."""
 
 
 def _as_distances(d):
@@ -83,10 +93,10 @@ class Kernel:
         raise NotImplementedError
 
     def _settle_support(self, intrinsic: float) -> None:
-        """An unset (nan) support radius takes the profile's own support
+        """An unset (None) support radius takes the profile's own support
         ``intrinsic``; a set one must be positive and is capped at it."""
         r = self.support_radius
-        if not math.isnan(r):
+        if r is not None:
             if not r > 0:
                 raise ValueError("support_radius must be positive")
             intrinsic = min(r, intrinsic)
@@ -106,11 +116,7 @@ class GaussianKernel(Kernel):
     support_radius: float = math.inf
 
     def __post_init__(self):
-        if not (self.tau > 0 and _MIN_TAU_SQ <= self.tau * self.tau <= _MAX_TAU_SQ):
-            raise ValueError(
-                "tau must keep tau^2 a normal double and 2 tau^2 finite "
-                f"(about 1.5e-154 <= tau <= 9.5e153), got {self.tau!r}"
-            )
+        _check_scale("tau", self.tau)
         if not self.support_radius > 0:
             raise ValueError("support_radius must be positive")
 
@@ -139,7 +145,7 @@ class TruncatedFlatKernel(Kernel):
     """
 
     levels: tuple
-    support_radius: float = field(default=math.nan)
+    support_radius: float | None = None
 
     def __post_init__(self):
         levels = tuple((float(t), float(v)) for t, v in self.levels)
@@ -147,8 +153,12 @@ class TruncatedFlatKernel(Kernel):
             raise ValueError("levels must be nonempty")
         thresholds = [t for t, _ in levels]
         values = [v for _, v in levels]
-        if any(t < 0 for t in thresholds):
-            raise ValueError("thresholds must be nonnegative")
+        # the kernel compares squared distances, so each t^2 must be finite
+        if any(not (t >= 0 and t * t < math.inf) for t in thresholds):
+            raise ValueError(
+                "thresholds must be nonnegative with a finite square "
+                f"(at most about 1.34e154), got {thresholds}"
+            )
         if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
             raise ValueError("thresholds must be strictly increasing")
         if any(not 0.0 <= v <= 1.0 for v in values):
@@ -185,7 +195,7 @@ class TabulatedKernel(Kernel):
     """
 
     knots: tuple
-    support_radius: float = field(default=math.nan)
+    support_radius: float | None = None
 
     def __post_init__(self):
         knots = tuple((float(d), float(v)) for d, v in self.knots)
@@ -197,6 +207,11 @@ class TabulatedKernel(Kernel):
             raise ValueError("first knot must be (0, 1)")
         if any(b <= a for a, b in zip(ds, ds[1:])):
             raise ValueError("knot distances must be strictly increasing")
+        if any(not d * d < math.inf for d in ds):
+            raise ValueError(
+                "knot distances must have a finite square "
+                f"(at most about 1.34e154), got {ds}"
+            )
         if any(not 0.0 <= v <= 1.0 for v in vs):
             raise ValueError("knot values must lie in [0, 1]")
         object.__setattr__(self, "knots", knots)
@@ -285,44 +300,10 @@ def verify_profile(kernel: Kernel, grid) -> ProfileReport:
     )
 
 
-def kernel_from_config(config: dict) -> Kernel:
-    """Build a kernel from its config mapping.
-
-    Shapes: ``{"family": "gaussian", "tau": 2.0}``,
-    ``{"family": "truncated_flat", "levels": [[0.0, 1.0], [1.0, 0.5]]}``,
-    ``{"family": "tabulated", "profile": [[0.0, 1.0], [2.0, 0.3]]}``.
-    Any family accepts an optional ``"support_radius"``.
-    """
-    if not isinstance(config, dict):
-        raise KernelConfigError("kernel config must be a mapping")
-    family = config.get("family")
-    extra = {}
-    if "support_radius" in config:
-        extra["support_radius"] = float(config["support_radius"])
-    try:
-        if family == "gaussian":
-            if "tau" not in config:
-                raise KernelConfigError("gaussian kernel needs 'tau'")
-            return GaussianKernel(tau=float(config["tau"]), **extra)
-        if family == "truncated_flat":
-            levels = config.get("levels")
-            if not isinstance(levels, Sequence) or isinstance(levels, (str, bytes)):
-                raise KernelConfigError("truncated_flat kernel needs 'levels'")
-            return TruncatedFlatKernel(levels=tuple(tuple(l) for l in levels), **extra)
-        if family == "tabulated":
-            profile = config.get("profile")
-            if not isinstance(profile, Sequence) or isinstance(profile, (str, bytes)):
-                raise KernelConfigError("tabulated kernel needs 'profile'")
-            return TabulatedKernel(knots=tuple(tuple(k) for k in profile), **extra)
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, KernelConfigError):
-            raise
-        raise KernelConfigError(f"bad kernel config: {exc}") from exc
-    raise KernelConfigError(f"unknown kernel family: {family!r}")
-
-
 def kernel_to_config(kernel: Kernel) -> dict:
-    """Inverse of ``kernel_from_config`` for the built-in families."""
+    """The built-in kernel's family and parameters as a JSON-ready mapping,
+    e.g. ``{"family": "gaussian", "tau": 2.0}``; a finite support radius
+    adds ``"support_radius"``."""
     if isinstance(kernel, GaussianKernel):
         cfg = {"family": "gaussian", "tau": kernel.tau}
     elif isinstance(kernel, TruncatedFlatKernel):

@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .kernels import _MAX_TAU_SQ, _check_scale
+
 __all__ = [
     "ShrinkState",
     "shrink_map",
@@ -111,7 +113,7 @@ def covariance_step(state: ShrinkState) -> ShrinkState:
     """
     lam = state._eigenvalues
     v = state._eigenvectors
-    new_lam = lam**3 / (lam + state.bandwidth**2) ** 2
+    new_lam = _shrink_eigenvalue(lam, state.bandwidth**2)
     if new_lam.min() <= 0.0:
         raise ValueError(
             "covariance update underflowed to a singular matrix; "
@@ -126,11 +128,17 @@ def covariance_step(state: ShrinkState) -> ShrinkState:
     )
 
 
-def _check_sequence_args(value, tau, steps):
-    if not (value > 0 and math.isfinite(value)):
-        raise ValueError("initial value must be positive and finite")
-    if not (tau > 0 and math.isfinite(tau)):
-        raise ValueError("bandwidth must be positive and finite")
+def _shrink_eigenvalue(lam, tau_sq):
+    """lam^3 / (lam + tau^2)^2, as lam r^2 with r = lam / (lam + tau^2) in
+    [0, 1], so no intermediate exceeds lam and none overflows."""
+    r = lam / (lam + tau_sq)
+    return lam * r * r
+
+
+def _check_sequence_args(tau, steps):
+    # each step adds a variance to tau^2, and both stay within half the
+    # largest double, so the sum is finite
+    _check_scale("tau", tau)
     if steps < 0:
         raise ValueError("steps must be nonnegative")
 
@@ -143,20 +151,21 @@ def eigenvalue_sequence(lam0: float, tau: float, steps: int) -> np.ndarray:
     envelope lam0 * (lam0^2 / (lam0 + tau^2)^2)^s; in floats a long enough
     run underflows to 0.
     """
-    _check_sequence_args(lam0, tau, steps)
+    if not 0 < lam0 <= _MAX_TAU_SQ:
+        raise ValueError(f"lam0 must be positive and at most about 9e307, got {lam0!r}")
+    _check_sequence_args(tau, steps)
     out = np.empty(int(steps) + 1)
     out[0] = lam0
     t2 = tau * tau
     for s in range(1, int(steps) + 1):
-        prev = out[s - 1]
-        out[s] = prev**3 / (prev + t2) ** 2
+        out[s] = _shrink_eigenvalue(out[s - 1], t2)
     return out
 
 
 def blurring_std_sequence(sigma0: float, tau: float, steps: int) -> np.ndarray:
     """Per-step standard deviation of an isotropic Gaussian cloud under
     blurring updates: the square root of the variance recursion."""
-    _check_sequence_args(sigma0, tau, steps)
+    _check_scale("sigma0", sigma0)
     return np.sqrt(eigenvalue_sequence(sigma0 * sigma0, tau, steps))
 
 
@@ -164,6 +173,7 @@ def nonblurring_std_sequence(sigma0: float, tau: float, steps: int) -> np.ndarra
     """Per-step standard deviation of centers averaged against a fixed
     Gaussian cloud: geometric decay with constant ratio
     sigma0^2 / (sigma0^2 + tau^2), since the reference never tightens."""
-    _check_sequence_args(sigma0, tau, steps)
+    _check_scale("sigma0", sigma0)
+    _check_sequence_args(tau, steps)
     ratio = sigma0 * sigma0 / (sigma0 * sigma0 + tau * tau)
     return sigma0 * ratio ** np.arange(int(steps) + 1)

@@ -23,7 +23,12 @@ from blurshift.fileio import (
     MalformedInputError,
     read_points_csv,
 )
-from blurshift.kernels import GaussianKernel
+from blurshift.kernels import (
+    GaussianKernel,
+    TabulatedKernel,
+    TruncatedFlatKernel,
+    kernel_to_config,
+)
 from blurshift.shrinkage import blurring_std_sequence, nonblurring_std_sequence
 
 
@@ -60,6 +65,11 @@ def run_cli_subprocess(tmp_path, *argv, env=None):
     )
     assert "Traceback" not in out.stderr, out.stderr
     return out.returncode, out.stdout.splitlines(), out.stderr
+
+
+@pytest.fixture
+def two_points(tmp_path):
+    return write(tmp_path / "p.csv", "0\n1\n")
 
 
 @pytest.fixture
@@ -216,6 +226,21 @@ class TestCluster:
         assert len(lines) == 1
         assert json.loads(out.read_text())["n_clusters"] == 2
 
+    @pytest.mark.parametrize(
+        "flag, name",
+        [("--stop-displacement", "stop_displacement"), ("--merge-tolerance", "merge_tolerance")],
+    )
+    def test_infinite_engine_flag_named(self, capsys, tmp_path, sample_csv, flag, name):
+        out = tmp_path / "r.json"
+        code, echo, err = run_cli(
+            capsys, "cluster", "--input", sample_csv, "--output", str(out),
+            "--tau", "1", flag, "inf",
+        )
+        assert code == 1 and echo is None
+        assert err["error"]["code"] == "invalid-argument"
+        assert name in err["error"]["message"]
+        assert not out.exists()
+
     def test_trace_with_level_none_rejected(self, capsys, tmp_path, sample_csv):
         code, _, err = run_cli(
             capsys, "cluster", "--input", sample_csv,
@@ -224,6 +249,114 @@ class TestCluster:
         )
         assert code == 1
         assert err["error"]["code"] == "invalid-argument"
+
+
+def kernel_flags(kernel) -> list:
+    """The kernel flags that describe ``kernel``."""
+    cfg = kernel_to_config(kernel)
+    flags = ["--kernel", cfg["family"]]
+    for key, flag in (("tau", "--tau"), ("support_radius", "--support-radius")):
+        if key in cfg:
+            flags += [flag, repr(cfg[key])]
+    for key, flag in (("levels", "--levels"), ("profile", "--knots")):
+        if key in cfg:
+            flags += [flag, ",".join(f"{a!r}:{b!r}" for a, b in cfg[key])]
+    return flags
+
+
+class TestKernelFlags:
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            GaussianKernel(tau=1.5),
+            GaussianKernel(tau=0.5, support_radius=1.5),
+            TruncatedFlatKernel(levels=((0.0, 1.0), (1.0, 0.5))),
+            TruncatedFlatKernel(levels=((0.5, 0.9), (2.0, 0.4)), support_radius=1.8),
+            TabulatedKernel(knots=((0.0, 1.0), (1.0, 0.5), (3.0, 0.0))),
+        ],
+    )
+    def test_echo_is_the_kernel_config(self, capsys, tmp_path, two_points, kernel):
+        code, echo, _ = run_cli(
+            capsys, "cluster", "--input", two_points, "--output", str(tmp_path / "r.json"),
+            *kernel_flags(kernel),
+        )
+        assert code == 0
+        assert echo["config"]["kernel"] == kernel_to_config(kernel)
+
+    @pytest.mark.parametrize(
+        "flags, foreign",
+        [
+            (["--kernel", "truncated_flat", "--tau", "2", "--levels", "1:0.5"], "--tau"),
+            (["--tau", "1", "--levels", "1:0.5"], "--levels"),
+            (["--tau", "1", "--knots", "x"], "--knots"),
+            (["--kernel", "tabulated", "--knots", "0:1,1:0", "--levels", "1:0.5"], "--levels"),
+        ],
+    )
+    def test_flag_of_another_family_rejected(self, capsys, tmp_path, two_points, flags, foreign):
+        out = tmp_path / "r.json"
+        code, echo, err = run_cli(
+            capsys, "cluster", "--input", two_points, "--output", str(out), *flags
+        )
+        assert code == 1 and echo is None
+        assert err["error"]["code"] == "invalid-kernel"
+        assert foreign in err["error"]["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "family, flag",
+        [("gaussian", "--tau"), ("truncated_flat", "--levels"), ("tabulated", "--knots")],
+    )
+    def test_missing_family_flag_named(self, capsys, tmp_path, two_points, family, flag):
+        code, _, err = run_cli(
+            capsys, "cluster", "--input", two_points, "--output", str(tmp_path / "r.json"),
+            "--kernel", family,
+        )
+        assert code == 1
+        assert err["error"]["code"] == "invalid-kernel"
+        assert flag in err["error"]["message"]
+
+    @pytest.mark.parametrize("family, flag", [("truncated_flat", "--levels=1:0.5"),
+                                              ("tabulated", "--knots=0:1,1:0.5")])
+    def test_nan_support_radius_rejected(self, capsys, tmp_path, two_points, family, flag):
+        # nan is no radius, and no request for the profile's own one
+        code, _, err = run_cli(
+            capsys, "cluster", "--input", two_points, "--output", str(tmp_path / "r.json"),
+            "--kernel", family, flag, "--support-radius", "nan",
+        )
+        assert code == 1
+        assert err["error"]["code"] == "invalid-kernel"
+        assert "--support-radius" in err["error"]["message"]
+
+    def test_malformed_pairs_are_invalid_argument(self, capsys, tmp_path, two_points):
+        code, _, err = run_cli(
+            capsys, "cluster", "--input", two_points, "--output", str(tmp_path / "r.json"),
+            "--kernel", "truncated_flat", "--levels", "1:0.5,x",
+        )
+        assert code == 1
+        assert err["error"]["code"] == "invalid-argument"
+        assert "--levels" in err["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--kernel", "truncated_flat", "--levels", "1e200:0.5"],
+            ["--kernel", "truncated_flat", "--levels", "nan:0.5"],
+            ["--kernel", "tabulated", "--knots", "0:1,inf:0.5"],
+            ["--kernel", "tabulated", "--knots", "0:1,nan:0.5"],
+        ],
+    )
+    def test_distance_without_finite_square_is_one_error_line(self, tmp_path, two_points, flags):
+        code, stdout, stderr = run_cli_subprocess(
+            tmp_path, "cluster", "--input", two_points, "--output", "r.json", *flags
+        )
+        assert code == 1
+        assert stdout == []
+        lines = stderr.splitlines()
+        assert len(lines) == 1, stderr
+        error = json.loads(lines[0])["error"]
+        assert error["code"] == "invalid-kernel"
+        assert flags[2] in error["message"]
+        assert not (tmp_path / "r.json").exists()
 
 
 class TestTheory:
@@ -253,6 +386,27 @@ class TestTheory:
         )
         assert code == 1
         assert err["error"]["code"] == "invalid-argument"
+
+    @pytest.mark.parametrize("sigma0", ["1e200", "1e-200"])
+    def test_sigma0_out_of_range_named(self, capsys, tmp_path, sigma0):
+        code, _, err = run_cli(
+            capsys, "theory", "--sigma0", sigma0, "--tau", "1",
+            "--output", str(tmp_path / "x.csv"),
+        )
+        assert code == 1
+        assert err["error"]["code"] == "invalid-argument"
+        assert "sigma0" in err["error"]["message"]
+
+    def test_large_sigma0_is_finite_and_quiet(self, tmp_path):
+        # the variance's cube overflows from sigma0 about 1.7e51
+        code, lines, stderr = run_cli_subprocess(
+            tmp_path, "theory", "--sigma0", "1e60", "--tau", "1", "--output", "t.csv"
+        )
+        assert code == 0
+        assert stderr == ""
+        assert len(lines) == 1
+        table = np.loadtxt(tmp_path / "t.csv", delimiter=",", skiprows=1)
+        assert np.all(np.isfinite(table))
 
 
 class TestExperiment:
@@ -407,7 +561,7 @@ class TestExperiment:
 class TestDiagnose:
     def test_auto_checks_1d(self, capsys, tmp_path, sample_csv):
         out = tmp_path / "diag.json"
-        code, _, _ = run_cli(
+        code, echo, _ = run_cli(
             capsys, "diagnose", "--input", sample_csv, "--output", str(out),
             "--tau", "2",
         )
@@ -416,6 +570,10 @@ class TestDiagnose:
         assert report["radius"]["nonincreasing"] is True
         assert report["hull"]["nested"] is True
         assert report["directional"]["contained"] is True
+        # the library's default directions
+        assert report["directional"]["n_directions"] == 20
+        assert report["config"] == echo["config"]
+        assert "n_directions" not in report["config"]
         assert report["influence"]["vacuous"] is True  # single cluster
         assert report["n_clusters"] == 1
 
@@ -488,6 +646,24 @@ class TestCounterexample:
         assert code == 1
         assert err["error"]["code"] == "invalid-argument"
 
+    def test_breakdown_reported(self, capsys, tmp_path):
+        # subnormal offsets leave no power-of-two weight that keeps the bands
+        code, echo, err = run_cli(
+            capsys, "counterexample", "--deltas", "1e-320,1e-320,1e-320",
+            "--iterations", "5", "--output", str(tmp_path / "x.csv"),
+        )
+        assert code == 1 and echo is None
+        assert err["error"]["code"] == "counterexample-breakdown"
+
+    def test_non_numeric_deltas_named(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            capsys, "counterexample", "--deltas", "a,b,c",
+            "--output", str(tmp_path / "x.csv"),
+        )
+        assert code == 1
+        assert err["error"]["code"] == "invalid-argument"
+        assert "--deltas" in err["error"]["message"]
+
 
 class TestErrorSurface:
     def test_missing_input(self, capsys, tmp_path):
@@ -526,8 +702,6 @@ class TestErrorSurface:
         assert err["error"]["code"] == "invalid-argument"
 
     def test_breakdown_error_mapping(self):
-        # the adaptive schedule never breaks down from CLI-reachable flags;
-        # the code mapping itself is still part of the contract
         assert _error_code(CounterexampleBreakdownError(3, "stuck")) \
             == "counterexample-breakdown"
         assert _error_code(IsolatedCenterError(0)) == "isolated-center"

@@ -103,6 +103,8 @@ class TestRunConfig:
             {"mode": "smoothing"},
             {"trace_level": "verbose"},
             {"stop_displacement": 0.0},
+            {"stop_displacement": math.inf},
+            {"stop_displacement": math.nan},
             {"max_iterations": 0},
         ],
     )
@@ -623,6 +625,11 @@ class TestExtractClusters:
     def test_negative_tolerance_rejected(self):
         with pytest.raises(ValueError):
             extract_clusters(PointSet(np.array([0.0])), merge_tolerance=-1.0)
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan])
+    def test_non_finite_tolerance_rejected(self, tol):
+        with pytest.raises(ValueError, match="merge_tolerance"):
+            extract_clusters(PointSet(np.array([0.0])), merge_tolerance=tol)
 
     def test_close_pair_off_origin_is_one_cluster(self):
         # 6.2e-10 apart: the expanded form |a|^2 + |b|^2 - 2 a.b rounds their

@@ -203,6 +203,8 @@ class TestExperimentConfig:
             dict(kind="efficiency", tau=1.0, stop_displacement=0.0),
             dict(kind="efficiency", tau=1.0, max_iterations=0),
             dict(kind="efficiency", tau=1.0, merge_tolerance=-1e-9),
+            dict(kind="efficiency", tau=1.0, merge_tolerance=math.inf),
+            dict(kind="efficiency", tau=1.0, stop_displacement=math.inf),
         ],
     )
     def test_invalid_configs(self, kwargs):

@@ -7,11 +7,8 @@ from hypothesis import strategies as st
 
 from blurshift.kernels import (
     GaussianKernel,
-    KernelConfigError,
     TabulatedKernel,
     TruncatedFlatKernel,
-    kernel_from_config,
-    kernel_to_config,
     verify_profile,
 )
 
@@ -148,6 +145,16 @@ class TestTruncatedFlat:
         with pytest.raises(ValueError):
             TruncatedFlatKernel(levels=levels)
 
+    # the largest threshold whose square is finite is sqrt(max), 1.3407807929942596e154
+    @pytest.mark.parametrize("t", [math.nan, math.inf, 1e200, 1.3407807929942597e154])
+    def test_threshold_without_finite_square_rejected(self, t):
+        with pytest.raises(ValueError, match="thresholds"):
+            TruncatedFlatKernel(levels=((1.0, 0.5), (t, 0.25)))
+
+    def test_largest_threshold_with_finite_square_accepted(self):
+        k = TruncatedFlatKernel(levels=((1.3407807929942596e154, 0.5),))
+        assert k.evaluate_sq(1.7e308) == 0.5
+
     def test_support_below_last_threshold_matches_scalar_reference(self):
         # the cut at 1.5 falls inside the (1, 2] level and drops the levels
         # beyond it
@@ -197,10 +204,29 @@ class TestTabulated:
         with pytest.raises(ValueError):
             TabulatedKernel(knots=((0.5, 1.0), (1.0, 0.5)))
 
+    @pytest.mark.parametrize("d", [math.nan, math.inf, 1e200, 1.3407807929942597e154])
+    def test_knot_without_finite_square_rejected(self, d):
+        with pytest.raises(ValueError, match="knot distances"):
+            TabulatedKernel(knots=((0.0, 1.0), (d, 0.5)))
+
     def test_non_monotone_table_constructs(self):
         # construction does not police monotonicity; verify_profile does
         k = TabulatedKernel(knots=((0.0, 1.0), (1.0, 0.6), (2.0, 0.7)))
         assert k.evaluate(2.0) == 0.7
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda r: TruncatedFlatKernel(levels=((1.0, 0.5),), support_radius=r),
+        lambda r: TabulatedKernel(knots=((0.0, 1.0), (1.0, 0.5)), support_radius=r),
+    ],
+)
+@pytest.mark.parametrize("radius", [math.nan, 0.0, -1.0])
+def test_bad_support_radius_rejected(make, radius):
+    # nan is a bad radius like any other, not a request for the default
+    with pytest.raises(ValueError, match="support_radius"):
+        make(radius)
 
 
 class TestVerifyProfile:
@@ -236,34 +262,6 @@ class TestVerifyProfile:
             verify_profile(GaussianKernel(1.0), np.array([0.5, 1.0, 2.0]))
         with pytest.raises(ValueError):
             verify_profile(GaussianKernel(1.0), np.array([0.0, 1.0]))
-
-
-class TestConfigRoundTrip:
-    @pytest.mark.parametrize(
-        "kernel",
-        [
-            GaussianKernel(tau=1.5),
-            GaussianKernel(tau=0.5, support_radius=1.5),
-            TruncatedFlatKernel(levels=((0.0, 1.0), (1.0, 0.5))),
-            TruncatedFlatKernel(levels=((0.5, 0.9), (2.0, 0.4)), support_radius=1.8),
-            TabulatedKernel(knots=((0.0, 1.0), (1.0, 0.5), (3.0, 0.0))),
-        ],
-    )
-    def test_round_trip(self, kernel):
-        again = kernel_from_config(kernel_to_config(kernel))
-        assert again == kernel
-
-    def test_unknown_family(self):
-        with pytest.raises(KernelConfigError):
-            kernel_from_config({"family": "triweight", "tau": 1.0})
-
-    def test_missing_parameter(self):
-        with pytest.raises(KernelConfigError):
-            kernel_from_config({"family": "gaussian"})
-
-    def test_bad_parameter_wrapped(self):
-        with pytest.raises(KernelConfigError):
-            kernel_from_config({"family": "gaussian", "tau": -2.0})
 
 
 def test_gaussian_agrees_with_scalar_reference():

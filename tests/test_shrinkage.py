@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,11 @@ from blurshift.shrinkage import (
 
 # unit variance, bandwidth 2: the worked reference case
 UNIT_STATE = ShrinkState(covariance=np.eye(1), bandwidth=2.0)
+
+
+# the smallest length whose square is a normal double, and the largest one
+# whose square doubled is finite
+SCALE_RANGE = (1.4916681462400413e-154, 9.480751908109176e153)
 
 
 class TestShrinkState:
@@ -171,7 +178,9 @@ class TestEigenvalueSequence:
         bound = lam0 * ratio ** np.arange(steps + 1)
         assert np.all(seq <= bound * (1 + 1e-12))
 
-    @pytest.mark.parametrize("bad", [(0.0, 1.0, 2), (1.0, 0.0, 2), (1.0, 1.0, -1)])
+    @pytest.mark.parametrize(
+        "bad", [(0.0, 1.0, 2), (1.0, 0.0, 2), (1.0, 1.0, -1), (math.inf, 1.0, 2), (1e308, 1.0, 2)]
+    )
     def test_bad_arguments(self, bad):
         lam0, tau, steps = bad
         with pytest.raises(ValueError):
@@ -209,3 +218,31 @@ class TestStdSequences:
             nonblurring_std_sequence(-1.0, 1.0, 2)
         with pytest.raises(ValueError):
             blurring_std_sequence(1.0, 1.0, -3)
+
+    # sigma0^2 underflows to 0 or to a subnormal, or 2 sigma0^2 overflows
+    @pytest.mark.parametrize(
+        "sigma0",
+        [1e-200, math.nextafter(SCALE_RANGE[0], 0.0), math.nextafter(SCALE_RANGE[1], math.inf),
+         1e200, math.nan],
+    )
+    @pytest.mark.parametrize("sequence", [blurring_std_sequence, nonblurring_std_sequence])
+    def test_sigma0_out_of_range_named(self, sequence, sigma0):
+        with pytest.raises(ValueError, match="sigma0"):
+            sequence(sigma0, 1.0, 3)
+
+    @pytest.mark.parametrize("tau", [1e-200, 1e200, math.nextafter(SCALE_RANGE[1], math.inf)])
+    @pytest.mark.parametrize("sequence", [blurring_std_sequence, nonblurring_std_sequence])
+    def test_tau_out_of_range_named(self, sequence, tau):
+        with pytest.raises(ValueError, match="tau"):
+            sequence(1.0, tau, 3)
+
+    # the range ends, against either end of tau, and a sigma0 whose variance
+    # cubed overflows
+    @pytest.mark.parametrize("sigma0", [*SCALE_RANGE, 1e60])
+    @pytest.mark.parametrize("tau", [*SCALE_RANGE, 1.0])
+    def test_range_is_finite(self, sigma0, tau):
+        blur = blurring_std_sequence(sigma0, tau, 5)
+        fixed = nonblurring_std_sequence(sigma0, tau, 5)
+        assert np.all(np.isfinite(blur)) and np.all(np.isfinite(fixed))
+        assert blur[0] == fixed[0] == sigma0
+        assert np.all(np.diff(blur) <= 0) and np.all(np.diff(fixed) <= 0)
