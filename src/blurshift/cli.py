@@ -132,7 +132,7 @@ _FAMILIES = {
 def _add_kernel_flags(parser) -> None:
     group = parser.add_argument_group("kernel")
     group.add_argument("--kernel", choices=list(_FAMILIES), default="gaussian")
-    group.add_argument("--tau", type=float, help="gaussian bandwidth")
+    group.add_argument("--tau", type=float, help="gaussian kernel width")
     group.add_argument(
         "--support-radius",
         type=float,
@@ -272,6 +272,14 @@ def _cmd_experiment(args) -> None:
         )
     else:
         reps = args.reps
+    merge_tolerance = args.merge_tolerance
+    if merge_tolerance is None:
+        merge_tolerance = DEFAULT_MERGE_TOLERANCE
+    elif kind == "convergence_rate":
+        raise ValueError(
+            f"--merge-tolerance does not apply to convergence-rate, which labels "
+            f"no clusters; got {merge_tolerance}"
+        )
     config = ExperimentConfig(
         kind=kind,
         tau=args.tau,
@@ -281,7 +289,7 @@ def _cmd_experiment(args) -> None:
         truncation_multiple=_resolve_truncation(args.truncation_multiple),
         stop_displacement=args.stop_displacement,
         max_iterations=args.max_iterations,
-        merge_tolerance=args.merge_tolerance,
+        merge_tolerance=merge_tolerance,
     )
     outputs = {"report": args.out}
     if kind == "convergence_rate":
@@ -418,7 +426,9 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("--out", required=True, help="report JSON")
     experiment.add_argument("--emit-csv", help="long-format raw values CSV")
     _add_engine_flags(experiment, with_mode=False)
-    experiment.set_defaults(func=_cmd_experiment)
+    # None tells an explicit --merge-tolerance apart, which convergence-rate
+    # rejects
+    experiment.set_defaults(func=_cmd_experiment, merge_tolerance=None)
 
     diagnose = sub.add_parser(
         "diagnose", help="contraction checks on an engine run"

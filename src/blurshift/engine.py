@@ -198,6 +198,25 @@ def _stripe_workers() -> int:
     return min(_STRIPES, cpus)
 
 
+def _scaled_weights(w: np.ndarray) -> np.ndarray:
+    """The weights times the power of two that puts the largest in [1, 2).
+
+    Weighted means do not change and the product is exact, but the weighted
+    sums of a finite cloud can no longer overflow for the weights' sake.
+    Weights whose largest is already in [1, 2), unit weights among them,
+    come back as they are."""
+    shift = 1 - math.frexp(float(w.max()))[1]
+    if shift == 0:
+        return w
+    scaled = np.ldexp(w, shift)
+    if not scaled.min() > 0.0:
+        raise ValueError(
+            "weights span too wide a range: with the largest scaled to about 1, "
+            "the smallest underflows to 0"
+        )
+    return scaled
+
+
 def _reduce(
     targets: np.ndarray, x: np.ndarray, w: np.ndarray, kernel: Kernel, symmetric: bool
 ):
@@ -318,7 +337,7 @@ def blurring_step(points: PointSet, kernel: Kernel) -> PointSet:
     influence exactly 1, so denominators are always positive.
     """
     x, w = points.positions, points.weights
-    return PointSet(_reduce(x, x, w, kernel, symmetric=True), w.copy())
+    return PointSet(_reduce(x, x, _scaled_weights(w), kernel, symmetric=True), w.copy())
 
 
 def nonblurring_step(centers: np.ndarray, data: PointSet, kernel: Kernel) -> np.ndarray:
@@ -332,7 +351,7 @@ def nonblurring_step(centers: np.ndarray, data: PointSet, kernel: Kernel) -> np.
         c = c[:, None]
     if c.shape[1] != data.dimension:
         raise ValueError("centers and data must share a dimension")
-    return _reduce(c, data.positions, data.weights, kernel, symmetric=False)
+    return _reduce(c, data.positions, _scaled_weights(data.weights), kernel, symmetric=False)
 
 
 def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -403,7 +422,7 @@ def run(points: PointSet, config: RunConfig, data: Optional[PointSet] = None):
     if fixed.dimension != points.dimension:
         raise ValueError("centers and data must share a dimension")
     x = points.positions.copy()
-    w = points.weights.copy()
+    w = _scaled_weights(fixed.weights)
     disps, radii, stds = [], [], []
     positions = [] if config.trace_level == "full" else None
 
@@ -420,7 +439,7 @@ def run(points: PointSet, config: RunConfig, data: Optional[PointSet] = None):
         if symmetric:
             new_x = _reduce(x, x, w, config.kernel, symmetric=True)
         else:
-            new_x = _reduce(x, fixed.positions, fixed.weights, config.kernel, symmetric=False)
+            new_x = _reduce(x, fixed.positions, w, config.kernel, symmetric=False)
         if t == 1:
             # only now: the first step rejects a cloud too wide to measure
             # before its radius and stds overflow
@@ -440,7 +459,7 @@ def run(points: PointSet, config: RunConfig, data: Optional[PointSet] = None):
         converged=converged,
         iterations=t,
     )
-    return PointSet(x, w), trace
+    return PointSet(x, points.weights.copy()), trace
 
 
 def _component_labels(x: np.ndarray, tol: float) -> np.ndarray:
@@ -487,7 +506,7 @@ def extract_clusters(
     """
     if not 0 <= merge_tolerance < math.inf:
         raise ValueError("merge_tolerance must be nonnegative and finite")
-    x, w = final.positions, final.weights
+    x, w = final.positions, _scaled_weights(final.weights)
     labels = _component_labels(x, merge_tolerance)
     sums = np.column_stack([np.bincount(labels, weights=w * xd) for xd in x.T])
     centers = sums / np.bincount(labels, weights=w)[:, None]

@@ -49,7 +49,7 @@ from blurshift.experiments import (
     run_robustness,
 )
 from blurshift.kernels import GaussianKernel, TruncatedFlatKernel
-from blurshift.shrinkage import ShrinkState, covariance_step
+from blurshift.shrinkage import covariance_step
 
 pytestmark = pytest.mark.acceptance
 
@@ -110,7 +110,7 @@ def test_criterion_2_one_step_shrinkage():
     pts2 = PointSet(draws @ np.linalg.cholesky(cov).T)
     stepped2 = blurring_step(pts2, GaussianKernel(tau=1.5))
     emp = np.cov(stepped2.positions.T, ddof=1)
-    theory = covariance_step(ShrinkState(cov, 1.5)).covariance
+    theory = covariance_step(cov, 1.5)
     frob_rel = float(
         np.linalg.norm(emp - theory) / np.linalg.norm(theory)
     )

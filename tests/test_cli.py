@@ -55,6 +55,10 @@ def src_env() -> dict:
     return env
 
 
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def run_cli_subprocess(tmp_path, *argv, env=None):
     """Run ``python -m blurshift`` in a subprocess, so numpy's warnings reach
     stderr as they do for a user rather than pytest's warning capture.
@@ -225,6 +229,28 @@ class TestCluster:
         assert stderr == ""
         assert len(lines) == 1
         assert json.loads(out.read_text())["n_clusters"] == 2
+
+    # weights whose weighted sums overflow unless they are scaled first
+    @pytest.mark.parametrize(
+        "points",
+        [
+            "x,weight\n10,1e300\n-10,1e300\n0,1e300\n",
+            "x,weight\n1e200,1e200\n",
+            "x,y,weight\n1,2,1e308\n1,2.5,1e308\n",
+        ],
+        ids=["three_rows", "one_row", "two_d"],
+    )
+    @pytest.mark.parametrize("command", ["cluster", "diagnose"])
+    def test_heavy_weights_are_quiet(self, tmp_path, command, points):
+        pts = write(tmp_path / "heavy.csv", points)
+        out = tmp_path / "r.json"
+        code, lines, stderr = run_cli_subprocess(
+            tmp_path, command, "--input", pts, "--output", str(out), "--tau", "1",
+        )
+        assert code == 0
+        assert stderr == ""
+        assert len(lines) == 1
+        json.loads(out.read_text(), parse_constant=reject_constant)
 
     @pytest.mark.parametrize(
         "flag, name",
@@ -541,6 +567,18 @@ class TestExperiment:
         assert code == 1 and echo is None
         assert err["error"]["code"] == "invalid-argument"
         assert "--reps" in err["error"]["message"]
+        assert not out.exists()
+
+    def test_convergence_rate_merge_tolerance_rejected(self, capsys, tmp_path):
+        # the series labels no clusters, so the tolerance would go unread
+        out = tmp_path / "cr.json"
+        code, echo, err = run_cli(
+            capsys, "experiment", "--kind", "convergence-rate", "--tau", "1",
+            "--merge-tolerance", "5", "--out", str(out),
+        )
+        assert code == 1 and echo is None
+        assert err["error"]["code"] == "invalid-argument"
+        assert "--merge-tolerance" in err["error"]["message"]
         assert not out.exists()
 
     def test_convergence_rate_single_point_is_quiet(self, tmp_path):

@@ -840,6 +840,37 @@ class TestStepProperties:
         out = blurring_step(PointSet(x), GaussianKernel(tau)).positions
         np.testing.assert_allclose(out, x, rtol=1e-14, atol=1e-14)
 
+    @given(
+        ps=clouds(),
+        tau=st.floats(0.1, 10.0),
+        k=st.integers(-1000, 1000),
+        mode=st.sampled_from(["blurring", "nonblurring"]),
+        flat=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_weights_times_power_of_two(self, ps, tau, k, mode, flat):
+        # the product is exact and leaves every weighted mean as it was
+        kernel = TruncatedFlatKernel(levels=((tau, 1.0),)) if flat else GaussianKernel(tau)
+        cfg = RunConfig(kernel=kernel, mode=mode, max_iterations=30)
+        scaled = PointSet(ps.positions, np.ldexp(ps.weights, k))
+
+        def outcome(pts):
+            try:
+                final, trace = run(pts, cfg)
+            except IsolatedCenterError as exc:
+                return exc.center_index
+            assert final.weights.tobytes() == pts.weights.tobytes()
+            centres = extract_clusters(final).centers
+            step = blurring_step(pts, kernel).positions
+            return [a.tobytes() for a in (final.positions, trace.radii, centres, step)]
+
+        assert outcome(ps) == outcome(scaled)
+
+    def test_weights_too_wide_to_scale_named(self):
+        pts = PointSet(np.array([0.0, 1.0]), np.array([1e300, 1e-300]))
+        with pytest.raises(ValueError, match="weights"):
+            blurring_step(pts, GaussianKernel(1.0))
+
     def test_single_point_fixed(self):
         out = blurring_step(
             PointSet(np.array([[2.5, -1.0]]), np.array([0.3])), GaussianKernel(1.0)

@@ -6,16 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blurshift.shrinkage import (
-    ShrinkState,
+    _variance_sequence,
     blurring_std_sequence,
     covariance_step,
-    eigenvalue_sequence,
     nonblurring_std_sequence,
     shrink_map,
 )
 
 # unit variance, bandwidth 2: the worked reference case
-UNIT_STATE = ShrinkState(covariance=np.eye(1), bandwidth=2.0)
+UNIT = (np.eye(1), 2.0)
 
 
 # the smallest length whose square is a normal double, and the largest one
@@ -23,15 +22,26 @@ UNIT_STATE = ShrinkState(covariance=np.eye(1), bandwidth=2.0)
 SCALE_RANGE = (1.4916681462400413e-154, 9.480751908109176e153)
 
 
+def assert_both_reject(cov, tau, match=None):
+    """covariance_step and shrink_map both reject the covariance or tau."""
+    with pytest.raises(ValueError, match=match):
+        covariance_step(cov, tau)
+    with pytest.raises(ValueError, match=match):
+        shrink_map(np.zeros(len(cov)), cov, tau)
+
+
 class TestShrinkState:
+    """Checks on the state every closed-form entry point takes: a covariance
+    matrix and a bandwidth tau, as plain values."""
+
     def test_scalar_covariance_promoted(self):
-        s = ShrinkState(covariance=np.array(4.0), bandwidth=1.0)
-        assert s.covariance.shape == (1, 1)
-        assert s.dimension == 1
+        assert covariance_step(np.array(4.0), 1.0).shape == (1, 1)
+        assert shrink_map(np.ones(1), np.array(4.0), 1.0).shape == (1,)
 
     def test_eigenvalues_ascending(self):
-        s = ShrinkState(covariance=np.diag([4.0, 1.0]), bandwidth=1.0)
-        np.testing.assert_allclose(s.eigenvalues, [1.0, 4.0])
+        nxt = covariance_step(np.diag([4.0, 1.0]), 1.0)
+        np.testing.assert_allclose(nxt, np.diag([2.56, 0.25]), rtol=1e-15)
+        np.testing.assert_allclose(np.linalg.eigvalsh(nxt), [0.25, 2.56], rtol=1e-15)
 
     @pytest.mark.parametrize(
         "cov",
@@ -43,41 +53,51 @@ class TestShrinkState:
         ],
     )
     def test_bad_covariance(self, cov):
-        with pytest.raises(ValueError):
-            ShrinkState(covariance=cov, bandwidth=1.0)
+        assert_both_reject(cov, 1.0)
 
     @pytest.mark.parametrize("tau", [0.0, -1.0, np.inf])
     def test_bad_bandwidth(self, tau):
-        with pytest.raises(ValueError):
-            ShrinkState(covariance=np.eye(2), bandwidth=tau)
+        assert_both_reject(np.eye(2), tau, match="tau")
+
+    # tau^2 overflows, or underflows so that the step would be the identity
+    @pytest.mark.parametrize("tau", [1e200, 1e-170])
+    def test_tau_out_of_range_named(self, tau):
+        assert_both_reject(np.eye(1), tau, match="tau")
 
     def test_tiny_asymmetry_tolerated(self):
         cov = np.array([[1.0, 0.3], [0.3 + 1e-14, 1.0]])
-        s = ShrinkState(covariance=cov, bandwidth=1.0)
-        assert np.array_equal(s.covariance, s.covariance.T)
+        nxt = covariance_step(cov, 1.0)
+        assert np.array_equal(nxt, nxt.T)
+        assert shrink_map(np.ones(2), cov, 1.0).shape == (2,)
+
+    # the verdict is relative to the largest entry, at any scale
+    @pytest.mark.parametrize("scale", [1.0, 1e-6, 1e-12, 1e-100])
+    def test_symmetry_verdict_scale_free(self, scale):
+        assert_both_reject(np.array([[1.0, 0.3], [0.2, 1.0]]) * scale, 1.0, match="symmetric")
+        sym = np.array([[1.0, 0.3], [0.3, 1.0]]) * scale
+        assert np.all(np.isfinite(covariance_step(sym, 1.0)))
+        assert np.all(np.isfinite(shrink_map(np.ones(2), sym, 1.0)))
 
 
 class TestShrinkMap:
     def test_zero_maps_to_zero(self):
-        np.testing.assert_array_equal(shrink_map(np.zeros(1), UNIT_STATE), [0.0])
+        np.testing.assert_array_equal(shrink_map(np.zeros(1), *UNIT), [0.0])
 
     def test_unit_variance_bandwidth_two(self):
         # contraction factor 1 / (1 + 4) = 0.2, so 5 -> 1
-        np.testing.assert_allclose(shrink_map(np.array([5.0]), UNIT_STATE), [1.0])
+        np.testing.assert_allclose(shrink_map(np.array([5.0]), *UNIT), [1.0])
 
     def test_axis_aligned_factors(self):
-        s = ShrinkState(covariance=np.diag([1.0, 4.0]), bandwidth=1.0)
-        got = shrink_map(np.array([1.0, 1.0]), s)
+        got = shrink_map(np.array([1.0, 1.0]), np.diag([1.0, 4.0]), 1.0)
         np.testing.assert_allclose(got, [0.5, 0.8], rtol=1e-14)
 
     def test_batch_rows(self):
-        s = ShrinkState(covariance=np.diag([1.0, 4.0]), bandwidth=1.0)
-        got = shrink_map(np.array([[1.0, 1.0], [2.0, 0.0]]), s)
+        got = shrink_map(np.array([[1.0, 1.0], [2.0, 0.0]]), np.diag([1.0, 4.0]), 1.0)
         np.testing.assert_allclose(got, [[0.5, 0.8], [1.0, 0.0]], rtol=1e-14)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            shrink_map(np.zeros(3), UNIT_STATE)
+            shrink_map(np.zeros(3), *UNIT)
 
     @given(
         a=st.floats(-5, 5),
@@ -87,30 +107,25 @@ class TestShrinkMap:
     )
     @settings(max_examples=40, deadline=None)
     def test_linear_and_odd(self, a, b, x0, y0):
-        s = ShrinkState(
-            covariance=np.array([[2.0, 0.7], [0.7, 1.0]]), bandwidth=1.3
-        )
+        s = (np.array([[2.0, 0.7], [0.7, 1.0]]), 1.3)
         x = np.array([x0, y0])
         y = np.array([y0, -x0])
-        lhs = shrink_map(a * x + b * y, s)
-        rhs = a * shrink_map(x, s) + b * shrink_map(y, s)
+        lhs = shrink_map(a * x + b * y, *s)
+        rhs = a * shrink_map(x, *s) + b * shrink_map(y, *s)
         np.testing.assert_allclose(lhs, rhs, rtol=1e-10, atol=1e-10)
-        np.testing.assert_allclose(shrink_map(-x, s), -shrink_map(x, s), rtol=1e-14)
+        np.testing.assert_allclose(shrink_map(-x, *s), -shrink_map(x, *s), rtol=1e-14)
 
 
 class TestCovarianceStep:
     def test_unit_case_first_step(self):
-        nxt = covariance_step(UNIT_STATE)
-        np.testing.assert_allclose(nxt.covariance, [[0.04]], rtol=1e-15)
-        assert nxt.step_index == 1
-        assert nxt.bandwidth == 2.0
+        np.testing.assert_allclose(covariance_step(*UNIT), [[0.04]], rtol=1e-15)
 
     def test_unit_case_three_steps(self):
-        s = UNIT_STATE
-        seen = [float(s.covariance[0, 0])]
+        cov, tau = UNIT
+        seen = [float(cov[0, 0])]
         for _ in range(3):
-            s = covariance_step(s)
-            seen.append(float(s.covariance[0, 0]))
+            cov = covariance_step(cov, tau)
+            seen.append(float(cov[0, 0]))
         np.testing.assert_allclose(
             seen,
             [1.0, 0.04, 3.9211841976276844e-06, 3.768173553161913e-18],
@@ -121,31 +136,43 @@ class TestCovarianceStep:
         rng = np.random.default_rng(3)
         a = rng.normal(size=(4, 4))
         cov = a @ a.T + 0.5 * np.eye(4)
-        s = ShrinkState(covariance=cov, bandwidth=1.1)
-        v = s._eigenvectors
-        nxt = covariance_step(s)
-        rotated = v.T @ nxt.covariance @ v
+        v = np.linalg.eigh(cov)[1]
+        rotated = v.T @ covariance_step(cov, 1.1) @ v
         off = rotated - np.diag(np.diag(rotated))
         assert np.linalg.norm(off) < 1e-10
 
     def test_eigenvalues_strictly_decrease(self):
         rng = np.random.default_rng(4)
         a = rng.normal(size=(3, 3))
-        s = ShrinkState(covariance=a @ a.T + np.eye(3), bandwidth=0.8)
+        cov = a @ a.T + np.eye(3)
         for _ in range(5):
-            nxt = covariance_step(s)
-            assert np.all(nxt.eigenvalues < s.eigenvalues)
-            s = nxt
+            nxt = covariance_step(cov, 0.8)
+            assert np.all(np.linalg.eigvalsh(nxt) < np.linalg.eigvalsh(cov))
+            cov = nxt
 
     def test_underflow_reported(self):
-        s = ShrinkState(covariance=np.eye(1) * 1e-200, bandwidth=10.0)
-        with pytest.raises(ValueError):
-            covariance_step(s)
+        with pytest.raises(ValueError, match="underflowed"):
+            covariance_step(np.eye(1) * 1e-200, 10.0)
+
+    def test_ill_conditioned_output_not_rechecked(self):
+        # the acceptance test's covariance: after three steps the eigenvalues
+        # are 2.3e-25 and 1.7e-6, a condition number doubles cannot resolve,
+        # yet each step's input was positive-definite
+        cov = np.array([[2.0, 0.6], [0.6, 0.5]])
+        lam = np.linalg.eigvalsh(cov)
+        for _ in range(3):
+            cov = covariance_step(cov, 1.5)
+        assert np.all(np.isfinite(cov)) and np.array_equal(cov, cov.T)
+        top = _variance_sequence(lam[1], 1.5, 3)[-1]
+        assert np.linalg.eigvalsh(cov)[1] == pytest.approx(top, rel=1e-9)
+        # as the next step's input it is rightly rejected
+        with pytest.raises(ValueError, match="positive-definite"):
+            covariance_step(cov, 1.5)
 
 
 class TestEigenvalueSequence:
     def test_reference_sequence(self):
-        got = eigenvalue_sequence(1.0, 2.0, 3)
+        got = _variance_sequence(1.0, 2.0, 3)
         np.testing.assert_allclose(
             got,
             [1.0, 0.04, 3.9211841976276844e-06, 3.768173553161913e-18],
@@ -153,11 +180,11 @@ class TestEigenvalueSequence:
         )
 
     def test_length_and_start(self):
-        got = eigenvalue_sequence(2.5, 1.0, 0)
+        got = _variance_sequence(2.5, 1.0, 0)
         assert got.tolist() == [2.5]
 
     def test_tiny_bandwidth_barely_moves(self):
-        got = eigenvalue_sequence(1.0, 1e-6, 1)
+        got = _variance_sequence(1.0, 1e-6, 1)
         assert got[1] == pytest.approx(1.0, rel=1e-5)
         assert got[1] < 1.0
 
@@ -168,7 +195,7 @@ class TestEigenvalueSequence:
     )
     @settings(max_examples=60, deadline=None)
     def test_decreasing_and_geometric_bound(self, lam0, tau, steps):
-        seq = eigenvalue_sequence(lam0, tau, steps)
+        seq = _variance_sequence(lam0, tau, steps)
         assert np.all(seq >= 0)
         # strictly decreasing until float underflow pins the tail at 0
         positive = seq > 0
@@ -177,14 +204,6 @@ class TestEigenvalueSequence:
         ratio = lam0 * lam0 / (lam0 + tau * tau) ** 2
         bound = lam0 * ratio ** np.arange(steps + 1)
         assert np.all(seq <= bound * (1 + 1e-12))
-
-    @pytest.mark.parametrize(
-        "bad", [(0.0, 1.0, 2), (1.0, 0.0, 2), (1.0, 1.0, -1), (math.inf, 1.0, 2), (1e308, 1.0, 2)]
-    )
-    def test_bad_arguments(self, bad):
-        lam0, tau, steps = bad
-        with pytest.raises(ValueError):
-            eigenvalue_sequence(lam0, tau, steps)
 
 
 class TestStdSequences:
