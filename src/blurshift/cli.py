@@ -4,8 +4,6 @@ Five subcommands, one per module entry point: cluster, theory, experiment,
 diagnose, counterexample. Each run prints a single JSON line to stdout with
 the fully resolved configuration and the paths it wrote. Failures print
 {"error": {"code", "message"}} to stderr and exit nonzero.
-
-Environment: BLURSHIFT_SEED sets the experiment seed when --seed is not given.
 """
 
 from __future__ import annotations
@@ -13,7 +11,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 
 from . import fileio
@@ -66,6 +63,7 @@ _ERROR_CODES = (
     (IsolatedCenterError, "isolated-center"),
     (CounterexampleBreakdownError, "counterexample-breakdown"),
     (TooFewConvergedError, "too-few-converged"),
+    (fileio.UnwritableOutputError, "unwritable-output"),
     (FileNotFoundError, "missing-input"),
     (IsADirectoryError, "missing-input"),
     (PermissionError, "missing-input"),
@@ -94,16 +92,6 @@ class _Parser(argparse.ArgumentParser):
             file=sys.stderr,
         )
         raise SystemExit(2)
-
-
-def _env_int(name: str, fallback: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return fallback
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{name} must be an integer, got {raw!r}") from exc
 
 
 def _parse_pairs(text: str, what: str):
@@ -262,34 +250,16 @@ def _resolve_truncation(raw: str):
 
 def _cmd_experiment(args) -> None:
     kind = args.kind.replace("-", "_")
-    if args.reps is None:
-        # Fig-1 style series come from one sample; the tables need many
-        reps = 1 if kind == "convergence_rate" else 2000
-    elif kind == "convergence_rate" and args.reps != 1:
-        raise ValueError(
-            f"--reps must be 1 for convergence-rate, which runs one sample; "
-            f"got {args.reps}"
-        )
-    else:
-        reps = args.reps
-    merge_tolerance = args.merge_tolerance
-    if merge_tolerance is None:
-        merge_tolerance = DEFAULT_MERGE_TOLERANCE
-    elif kind == "convergence_rate":
-        raise ValueError(
-            f"--merge-tolerance does not apply to convergence-rate, which labels "
-            f"no clusters; got {merge_tolerance}"
-        )
     config = ExperimentConfig(
         kind=kind,
         tau=args.tau,
         n_points=args.n_points,
-        replications=reps,
-        seed=_env_int("BLURSHIFT_SEED", 0) if args.seed is None else args.seed,
+        replications=AUTO if args.reps is None else args.reps,
+        seed=args.seed,
         truncation_multiple=_resolve_truncation(args.truncation_multiple),
         stop_displacement=args.stop_displacement,
         max_iterations=args.max_iterations,
-        merge_tolerance=merge_tolerance,
+        merge_tolerance=AUTO if args.merge_tolerance is None else args.merge_tolerance,
     )
     outputs = {"report": args.out}
     if kind == "convergence_rate":
@@ -321,7 +291,11 @@ def _cmd_diagnose(args) -> None:
     }
     unknown = set(checks) - set(runners) - {"auto"}
     if unknown:
-        raise ValueError(f"unknown checks: {sorted(unknown)}")
+        raise ValueError(f"--checks names unknown checks: {sorted(unknown)}")
+    if not checks or ("auto" in checks and checks != ["auto"]):
+        raise ValueError(
+            f"--checks must be 'auto' alone or name at least one check, got {args.checks!r}"
+        )
     if checks == ["auto"]:
         checks = ["radius", "directional", "influence"]
         if points.dimension <= 2:
@@ -411,11 +385,9 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument(
         "--reps",
         type=int,
-        help="replications (default 2000; convergence-rate defaults to 1)",
+        help="replications (default 2000; convergence-rate runs 1)",
     )
-    experiment.add_argument(
-        "--seed", type=int, help="master seed (default: BLURSHIFT_SEED, else 0)"
-    )
+    experiment.add_argument("--seed", type=int, default=0, help="master seed")
     experiment.add_argument("--n-points", type=int, default=100)
     experiment.add_argument(
         "--truncation-multiple",
@@ -426,8 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("--out", required=True, help="report JSON")
     experiment.add_argument("--emit-csv", help="long-format raw values CSV")
     _add_engine_flags(experiment, with_mode=False)
-    # None tells an explicit --merge-tolerance apart, which convergence-rate
-    # rejects
+    # an absent --merge-tolerance resolves per kind, like an absent --reps
     experiment.set_defaults(func=_cmd_experiment, merge_tolerance=None)
 
     diagnose = sub.add_parser(

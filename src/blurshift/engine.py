@@ -257,7 +257,7 @@ def _reduce(
     factored = (
         isinstance(kernel, GaussianKernel)
         and not math.isfinite(kernel.support_radius)
-        and spread < _EXP_ARG_LIMIT * kernel.tau**2
+        and spread < _EXP_ARG_LIMIT * (kernel.tau * kernel.tau)
     )
     V = np.empty((n, p + 1))
     # at least two columns, zeros after the first p: a k=1 matmul is slower
@@ -268,7 +268,7 @@ def _reduce(
         scale = math.sqrt(2.0) * kernel.tau
         np.divide(tc, scale, out=rows[:, :p])
         np.multiply(xc, 2.0 / scale, out=cols[:, :p])
-        a = np.exp(xx / (-2.0 * kernel.tau**2))
+        a = np.exp(xx / (-2.0 * kernel.tau * kernel.tau))
         V[:, p] = a * w
     else:
         rows[:, :p] = tc
@@ -322,7 +322,7 @@ def _reduce(
     for part in parts[1:]:
         acc += part
     if factored:
-        acc *= (a if symmetric else np.exp(tt / (-2.0 * kernel.tau**2)))[:, None]
+        acc *= (a if symmetric else np.exp(tt / (-2.0 * kernel.tau * kernel.tau)))[:, None]
     zero = np.flatnonzero(acc[:, p] == 0.0)
     if zero.size:
         raise IsolatedCenterError(int(zero[0]))

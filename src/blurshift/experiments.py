@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -48,8 +49,6 @@ __all__ = [
     "TooFewConvergedError",
 ]
 
-EXPERIMENT_KINDS = ("efficiency", "robustness", "convergence_rate")
-
 
 class TooFewConvergedError(RuntimeError):
     """Fewer than two replications converged in both modes, so there is no
@@ -64,7 +63,7 @@ class TooFewConvergedError(RuntimeError):
         )
 
 
-# Sentinel: resolve the truncation per experiment kind (see ExperimentConfig).
+# Sentinel: resolve a setting per experiment kind (see ExperimentConfig).
 AUTO = "auto"
 DEFAULT_ROBUSTNESS_TRUNCATION = 3.0
 
@@ -78,12 +77,26 @@ OUTLIER_MEAN = 5.0
 class ExperimentConfig:
     """Settings for one experiment run.
 
+    replications, merge_tolerance and truncation_multiple default to AUTO,
+    which resolves per kind:
+
+    ================  ============  ===============  ===================
+    kind              replications  merge_tolerance  truncation_multiple
+    ================  ============  ===============  ===================
+    efficiency        2000          1e-6             None
+    robustness        2000          1e-6             3.0
+    convergence_rate  1             None             None
+    ================  ============  ===============  ===================
+
+    A value set by hand must suit the kind: the efficiency and robustness
+    tables need at least 2 replications; convergence_rate runs exactly 1
+    and, labelling no clusters, takes no merge_tolerance.
+
     truncation_multiple: a number cuts the Gaussian influence to exactly
     zero beyond that multiple of tau, in BOTH modes. None keeps the
     everywhere-positive profile, under which a single cluster is guaranteed
-    and outlier separation would hinge on float underflow. The default
-    "auto" resolves per kind: 3.0 for robustness, so the outlier cluster
-    decouples deterministically, and None for everything else.
+    and outlier separation would hinge on float underflow; robustness cuts
+    by default so that the outlier cluster decouples deterministically.
 
     n_points: for robustness a multiple of OUTLIER_ONE_IN, so the outlier
     count is exact.
@@ -92,21 +105,20 @@ class ExperimentConfig:
     kind: str
     tau: float
     n_points: int = 100
-    replications: int = 2000
+    replications: int = AUTO
     seed: int = 0
     truncation_multiple: object = AUTO
     stop_displacement: float = DEFAULT_STOP_DISPLACEMENT
     max_iterations: int = DEFAULT_MAX_ITERATIONS
-    merge_tolerance: float = DEFAULT_MERGE_TOLERANCE
+    merge_tolerance: object = AUTO
 
     def __post_init__(self):
-        if self.kind not in EXPERIMENT_KINDS:
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown experiment kind: {self.kind!r}")
-        if self.truncation_multiple == AUTO:
-            resolved = (
-                DEFAULT_ROBUSTNESS_TRUNCATION if self.kind == "robustness" else None
-            )
-            object.__setattr__(self, "truncation_multiple", resolved)
+        kind = _KINDS[self.kind]
+        for name in ("replications", "merge_tolerance", "truncation_multiple"):
+            if getattr(self, name) == AUTO:
+                object.__setattr__(self, name, getattr(kind, name))
         multiple = self.truncation_multiple
         if multiple is not None and not (isinstance(multiple, (int, float)) and multiple > 0):
             raise ValueError(
@@ -120,13 +132,26 @@ class ExperimentConfig:
                 f"n_points must be a multiple of {OUTLIER_ONE_IN} for robustness "
                 f"(one outlier in {OUTLIER_ONE_IN}), got {self.n_points}"
             )
-        if self.replications < 1:
-            raise ValueError("replications must be at least 1")
+        if kind.replications == 1 and self.replications != 1:
+            raise ValueError(
+                f"replications must be 1 for {self.kind}, which runs one sample; "
+                f"got {self.replications}"
+            )
+        if kind.replications > 1 and not self.replications >= 2:
+            raise ValueError(
+                f"replications must be at least 2 for {self.kind}, whose table "
+                f"summarizes a spread; got {self.replications}"
+            )
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must fit an unsigned 64-bit integer")
+        if kind.merge_tolerance is None and self.merge_tolerance is not None:
+            raise ValueError(
+                f"merge_tolerance does not apply to {self.kind}, which labels no "
+                f"clusters; got {self.merge_tolerance}"
+            )
         # extract_clusters would only see a bad tolerance after a whole run
-        if not 0 <= self.merge_tolerance < math.inf:
-            raise ValueError("merge_tolerance must be nonnegative and finite")
+        if kind.merge_tolerance is not None and not 0 <= self.merge_tolerance < math.inf:
+            raise ValueError(f"merge_tolerance must be nonnegative and finite for {self.kind}")
         # the kernel and the run settings reject bad values themselves
         self.engine_config("blurring")
 
@@ -225,15 +250,35 @@ def _contaminated_sample(n: int, rng: np.random.Generator) -> PointSet:
     return PointSet(np.concatenate([core, rng.standard_normal(outliers) + OUTLIER_MEAN]))
 
 
-def _run_comparison(config: ExperimentConfig, draw) -> ExperimentReport:
-    """Shared replication loop: draw a sample, run both modes on the same
-    sample, record the three location statistics. A replication whose
+class _Kind(NamedTuple):
+    """What one experiment kind draws, and what AUTO resolves to for it."""
+
+    sample: Callable[[int, np.random.Generator], PointSet]
+    replications: int
+    merge_tolerance: Optional[float]
+    truncation_multiple: Optional[float]
+
+
+# The tables summarize a spread over many replications; the series runs one
+# sample and labels no clusters, so it has no merge tolerance.
+_KINDS = {
+    "efficiency": _Kind(_standard_sample, 2000, DEFAULT_MERGE_TOLERANCE, None),
+    "robustness": _Kind(
+        _contaminated_sample, 2000, DEFAULT_MERGE_TOLERANCE, DEFAULT_ROBUSTNESS_TRUNCATION
+    ),
+    "convergence_rate": _Kind(_standard_sample, 1, None, None),
+}
+
+
+def _run_comparison(config: ExperimentConfig) -> ExperimentReport:
+    """Shared replication loop: draw the kind's sample, run both modes on
+    that sample, record the three location statistics. A replication whose
     engine run exhausts the iteration budget is counted and excluded; the
     modes run in order and stop at the first that does."""
     values = {"sample_mean": [], "blurring": [], "nonblurring": []}
     kept = []
     for rep in range(config.replications):
-        points = draw(replication_rng(config.seed, rep))
+        points = _KINDS[config.kind].sample(config.n_points, replication_rng(config.seed, rep))
         finals = {}
         for mode in ("blurring", "nonblurring"):
             final, trace = run(points, config.engine_config(mode))
@@ -266,11 +311,7 @@ def run_efficiency(config: ExperimentConfig) -> ExperimentReport:
     which under an everywhere-positive kernel is the single common limit."""
     if config.kind != "efficiency":
         raise ValueError("config.kind must be 'efficiency'")
-
-    def draw(rng):
-        return _standard_sample(config.n_points, rng)
-
-    return _run_comparison(config, draw)
+    return _run_comparison(config)
 
 
 def run_robustness(config: ExperimentConfig) -> ExperimentReport:
@@ -279,11 +320,7 @@ def run_robustness(config: ExperimentConfig) -> ExperimentReport:
     decoupled."""
     if config.kind != "robustness":
         raise ValueError("config.kind must be 'robustness'")
-
-    def draw(rng):
-        return _contaminated_sample(config.n_points, rng)
-
-    return _run_comparison(config, draw)
+    return _run_comparison(config)
 
 
 def run_convergence_rate(config: ExperimentConfig) -> ConvergenceRateReport:
@@ -291,7 +328,7 @@ def run_convergence_rate(config: ExperimentConfig) -> ConvergenceRateReport:
     per-iteration mean and std of the cloud."""
     if config.kind != "convergence_rate":
         raise ValueError("config.kind must be 'convergence_rate'")
-    points = _standard_sample(config.n_points, replication_rng(config.seed, 0))
+    points = _KINDS[config.kind].sample(config.n_points, replication_rng(config.seed, 0))
 
     def series(mode: str) -> ConvergenceSeries:
         _, trace = run(points, replace(config.engine_config(mode), trace_level="full"))

@@ -22,6 +22,7 @@ __all__ = [
     "MalformedInputError",
     "EmptyInputError",
     "DimensionMismatchError",
+    "UnwritableOutputError",
     "read_points_csv",
     "config_dict",
     "write_result_json",
@@ -47,13 +48,26 @@ class DimensionMismatchError(ValueError):
     """Two point files that must share a dimension do not."""
 
 
+class UnwritableOutputError(OSError):
+    """An output file cannot be opened for writing."""
+
+
 def _fmt(value) -> str:
     return f"{float(value):.17g}"
 
 
+def _open_output(path, newline=None):
+    """``path`` opened for writing text; an OSError, such as a missing
+    directory or a directory at the path, becomes an UnwritableOutputError."""
+    try:
+        return open(path, "w", newline=newline)
+    except OSError as exc:
+        raise UnwritableOutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _write_csv(path, header, rows) -> None:
     """Header, then rows: strings verbatim, every other cell through ``_fmt``."""
-    with open(path, "w", newline="") as fh:
+    with _open_output(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows([c if isinstance(c, str) else _fmt(c) for c in row] for row in rows)
@@ -106,7 +120,7 @@ def read_points_csv(path) -> PointSet:
 
 
 def _write_json(path, payload) -> None:
-    with open(path, "w") as fh:
+    with _open_output(path) as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
 

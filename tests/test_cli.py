@@ -7,13 +7,14 @@ the artifacts on disk and the machine-readable error surface.
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from blurshift import cli
+from blurshift import cli, experiments
 from blurshift.cli import _error_code, build_parser, main
 from blurshift.diagnostics import CounterexampleBreakdownError
 from blurshift.engine import IsolatedCenterError, RunConfig, run
@@ -59,13 +60,13 @@ def reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 
 
-def run_cli_subprocess(tmp_path, *argv, env=None):
+def run_cli_subprocess(tmp_path, *argv):
     """Run ``python -m blurshift`` in a subprocess, so numpy's warnings reach
     stderr as they do for a user rather than pytest's warning capture.
     Returns (exit code, stdout lines, stderr text)."""
     out = subprocess.run(
         [sys.executable, "-m", "blurshift", *argv],
-        capture_output=True, text=True, cwd=tmp_path, env={**src_env(), **(env or {})},
+        capture_output=True, text=True, cwd=tmp_path, env=src_env(),
     )
     assert "Traceback" not in out.stderr, out.stderr
     return out.returncode, out.stdout.splitlines(), out.stderr
@@ -477,39 +478,15 @@ class TestExperiment:
             )[0] == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
-    def test_seed_env_override(self, capsys, tmp_path, monkeypatch):
+    def test_seed_env_ignored(self, capsys, tmp_path, monkeypatch):
+        # --seed is the one way to set the seed
         monkeypatch.setenv("BLURSHIFT_SEED", "99")
-        out = tmp_path / "rep.json"
         code, echo, _ = run_cli(
             capsys, "experiment", "--kind", "efficiency", "--tau", "1",
-            "--reps", "2", "--out", str(out),
+            "--reps", "2", "--out", str(tmp_path / "rep.json"),
         )
         assert code == 0
-        assert echo["config"]["seed"] == 99
-        assert json.loads(out.read_text())["config"]["seed"] == 99
-
-    def test_bad_seed_env_fails_experiment_only(self, tmp_path, sample_csv):
-        env = {"BLURSHIFT_SEED": "abc"}
-        for argv in (
-            ["theory", "--tau", "1", "--output", "t.csv"],
-            ["cluster", "--input", sample_csv, "--output", "c.json", "--tau", "1"],
-            ["diagnose", "--input", sample_csv, "--output", "d.json", "--tau", "1"],
-        ):
-            code, lines, stderr = run_cli_subprocess(tmp_path, *argv, env=env)
-            assert code == 0, stderr
-            assert len(lines) == 1
-        code, lines, stderr = run_cli_subprocess(
-            tmp_path, "experiment", "--kind", "efficiency", "--tau", "1",
-            "--reps", "2", "--out", "e.json", env=env,
-        )
-        assert code == 1
-        assert lines == []
-        errors = stderr.splitlines()
-        assert len(errors) == 1
-        error = json.loads(errors[0])["error"]
-        assert error["code"] == "invalid-argument"
-        assert "BLURSHIFT_SEED" in error["message"]
-        assert not (tmp_path / "e.json").exists()
+        assert echo["config"]["seed"] == 0
 
     @pytest.mark.parametrize("multiple", ["-2", "nan"])
     def test_bad_truncation_multiple_named(self, capsys, tmp_path, multiple):
@@ -548,7 +525,10 @@ class TestExperiment:
         )
         assert code == 0
         assert echo["config"]["replications"] == 1  # per-kind default
+        # the series labels no clusters, so it has no merge tolerance
+        assert echo["config"]["merge_tolerance"] is None
         report = json.loads(out.read_text())
+        assert report["config"]["merge_tolerance"] is None
         assert set(report) >= {"config", "blurring", "nonblurring"}
         stds = report["blurring"]["stds"]
         assert stds[1] / stds[0] < 0.3
@@ -566,7 +546,7 @@ class TestExperiment:
         )
         assert code == 1 and echo is None
         assert err["error"]["code"] == "invalid-argument"
-        assert "--reps" in err["error"]["message"]
+        assert "replications" in err["error"]["message"]
         assert not out.exists()
 
     def test_convergence_rate_merge_tolerance_rejected(self, capsys, tmp_path):
@@ -578,7 +558,7 @@ class TestExperiment:
         )
         assert code == 1 and echo is None
         assert err["error"]["code"] == "invalid-argument"
-        assert "--merge-tolerance" in err["error"]["message"]
+        assert "merge_tolerance" in err["error"]["message"]
         assert not out.exists()
 
     def test_convergence_rate_single_point_is_quiet(self, tmp_path):
@@ -643,6 +623,19 @@ class TestDiagnose:
         )
         assert code == 1
         assert err["error"]["code"] == "invalid-argument"
+
+    @pytest.mark.parametrize("checks", ["auto,radius", "radius,auto", ",", ""])
+    def test_unhonourable_check_list_rejected(self, capsys, tmp_path, sample_csv, checks):
+        # 'auto' stands alone, and the list names at least one check
+        out = tmp_path / "x.json"
+        code, echo, err = run_cli(
+            capsys, "diagnose", "--input", sample_csv, "--output", str(out),
+            "--tau", "2", f"--checks={checks}",
+        )
+        assert code == 1 and echo is None
+        assert err["error"]["code"] == "invalid-argument"
+        assert "--checks" in err["error"]["message"]
+        assert not out.exists()
 
     def test_two_blob_influence(self, capsys, tmp_path):
         src = write(tmp_path / "p.csv", "-3.0\n-3.1\n3.0\n3.1\n")
@@ -712,6 +705,46 @@ class TestErrorSurface:
         assert code == 1
         assert err["error"]["code"] == "missing-input"
 
+    def test_missing_data_is_missing_input(self, capsys, tmp_path, sample_csv):
+        code, _, err = run_cli(
+            capsys, "cluster", "--input", sample_csv, "--data", str(tmp_path / "nope.csv"),
+            "--mode", "nonblurring", "--output", str(tmp_path / "x.json"), "--tau", "1",
+        )
+        assert code == 1
+        assert err["error"]["code"] == "missing-input"
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["cluster", "--input", "pts.csv", "--tau", "1"], "--output"),
+            (["cluster", "--input", "pts.csv", "--tau", "1", "--output", "r.json"], "--trace"),
+            (["theory", "--tau", "1"], "--output"),
+            (["experiment", "--kind", "convergence-rate", "--tau", "1"], "--out"),
+            (
+                ["experiment", "--kind", "efficiency", "--tau", "1", "--reps", "2",
+                 "--n-points", "10", "--out", "r.json"],
+                "--emit-csv",
+            ),
+            (["diagnose", "--input", "pts.csv", "--tau", "1"], "--output"),
+            (["counterexample"], "--output"),
+        ],
+    )
+    @pytest.mark.parametrize("target", ["missing_dir", "directory"])
+    def test_unwritable_output(self, capsys, tmp_path, monkeypatch, argv, flag, target):
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path / "pts.csv", "0\n1\n")
+        (tmp_path / "a_dir").mkdir()
+        path = "missing/x.out" if target == "missing_dir" else "a_dir"
+        code = main([*argv, flag, path])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])["error"]
+        assert error["code"] == "unwritable-output"
+        assert path in error["message"]
+
     def test_isolated_center(self, capsys, tmp_path):
         centers = write(tmp_path / "c.csv", "0\n10\n")
         data = write(tmp_path / "d.csv", "0.5\n")
@@ -780,7 +813,6 @@ class TestErrorSurface:
         "argv",
         [
             ["--kind", "robustness", "--tau", "0.5", "--reps", "3", "--max-iterations", "50"],
-            ["--kind", "efficiency", "--tau", "1", "--reps", "1"],
         ],
     )
     def test_too_few_converged(self, capsys, tmp_path, argv):
@@ -793,6 +825,25 @@ class TestErrorSurface:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"]["code"] == "too-few-converged"
         assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("kind", ["efficiency", "robustness"])
+    def test_table_kind_needs_two_replications(self, capsys, tmp_path, monkeypatch, kind):
+        # one replication has no spread to summarize: rejected before any run
+        def no_run(*args, **kwargs):
+            raise AssertionError("the engine ran")
+
+        monkeypatch.setattr(experiments, "run", no_run)
+        out = tmp_path / "r.json"
+        code = main(["experiment", "--kind", kind, "--tau", "1", "--reps", "1", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])["error"]
+        assert error["code"] == "invalid-argument"
+        assert "replications" in error["message"] and kind in error["message"]
+        assert not out.exists()
 
     @staticmethod
     def assert_one_overflow_line(tmp_path, points_text):
@@ -818,6 +869,16 @@ class TestErrorSurface:
     def test_parser_builds(self):
         parser = build_parser()
         assert parser.prog == "blurshift"
+
+
+def test_readme_lists_every_error_code():
+    # the "Error codes:" paragraph names exactly the codes main can emit
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        text = fh.read()
+    paragraph = text[text.index("Error codes:"):].split("\n\n")[0]
+    listed = set(re.findall(r"`([a-z-]+)`", paragraph))
+    assert listed == {code for _, code in cli._ERROR_CODES} | {"internal-error"}
 
 
 def test_import_loads_neither_logging_nor_thread_pool():

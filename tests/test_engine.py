@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blurshift import engine
@@ -933,3 +933,66 @@ class TestTranslation:
         assert_translation_commutes(
             mode, TRANSLATION_KERNELS[kernel](0.9), x, w, np.array([1e8, -3.7e7])
         )
+
+
+# each family built from its lengths: tau, or the distances of its profile
+SCALE_KERNELS = {
+    "gaussian": lambda tau, _: GaussianKernel(tau),
+    "truncated": lambda tau, cut: GaussianKernel(tau, support_radius=cut),
+    "flat": lambda tau, cut: TruncatedFlatKernel(levels=((tau, 1.0), (cut, 0.25))),
+    "tabulated": lambda tau, cut: TabulatedKernel(knots=((0.0, 1.0), (tau, 0.5), (cut, 0.0))),
+}
+
+
+class TestScale:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 30),
+        p=st.integers(1, 2),
+        tau=st.floats(0.2, 5.0),
+        k=st.integers(-40, 40),
+        mode=st.sampled_from(["blurring", "nonblurring"]),
+        kernel=st.sampled_from(sorted(SCALE_KERNELS)),
+        weighted=st.booleans(),
+    )
+    # tau * tau and tau**2 round apart here, and the run used to differ
+    # from the unscaled one at this scale
+    @example(
+        seed=3, n=30, p=1, tau=1.8903560604397107, k=-20, mode="blurring",
+        kernel="gaussian", weighted=False,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_whole_run_commutes_with_power_of_two_scale(
+        self, seed, n, p, tau, k, mode, kernel, weighted
+    ):
+        # every length times 2^k: a product that is exact, so each rounding
+        # of the run scales with it and the whole run is bitwise the same
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, p))
+        w = rng.uniform(0.5, 2.0, size=n) if weighted else np.ones(n)
+        lengths = np.array([tau, 3.0 * tau, 1e-10, 1e-6])
+
+        def outcome(scale):
+            tau_s, cut_s, stop_s, tol_s = np.ldexp(lengths, scale)
+            config = RunConfig(
+                kernel=SCALE_KERNELS[kernel](float(tau_s), float(cut_s)),
+                mode=mode,
+                stop_displacement=float(stop_s),
+                max_iterations=60,
+            )
+            final, trace = run(PointSet(np.ldexp(x, scale), w), config)
+            clusters = extract_clusters(final, float(tol_s))
+            return final.positions, trace, clusters
+
+        final, trace, clusters = outcome(0)
+        scaled, scaled_trace, scaled_clusters = outcome(k)
+        for got, want in (
+            (scaled, final),
+            (scaled_trace.radii, trace.radii),
+            (scaled_trace.stds, trace.stds),
+            (scaled_clusters.centers, clusters.centers),
+        ):
+            assert got.tobytes() == np.ldexp(want, k).tobytes()
+        assert scaled_trace.iterations == trace.iterations
+        assert scaled_trace.converged == trace.converged
+        assert np.array_equal(scaled_clusters.labels, clusters.labels)

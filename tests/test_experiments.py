@@ -12,7 +12,13 @@ import numpy as np
 import pytest
 
 from blurshift import cli, experiments
-from blurshift.engine import PointSet, extract_clusters, majority_mode, run
+from blurshift.engine import (
+    DEFAULT_MERGE_TOLERANCE,
+    PointSet,
+    extract_clusters,
+    majority_mode,
+    run,
+)
 from blurshift.experiments import (
     _contaminated_sample,
     _standard_sample,
@@ -176,6 +182,39 @@ class TestExperimentConfig:
         eff = ExperimentConfig(kind="efficiency", tau=1.0)
         assert eff.truncation_multiple is None
         assert math.isinf(eff.kernel().support_radius)
+
+    @pytest.mark.parametrize(
+        "kind, replications, merge_tolerance, truncation_multiple",
+        [
+            ("efficiency", 2000, DEFAULT_MERGE_TOLERANCE, None),
+            ("robustness", 2000, DEFAULT_MERGE_TOLERANCE, DEFAULT_ROBUSTNESS_TRUNCATION),
+            ("convergence_rate", 1, None, None),
+        ],
+    )
+    def test_defaults_resolve_by_kind(self, kind, replications, merge_tolerance,
+                                      truncation_multiple):
+        resolved = (replications, merge_tolerance, truncation_multiple)
+        cfg = ExperimentConfig(kind=kind, tau=1.0)
+        assert (cfg.replications, cfg.merge_tolerance, cfg.truncation_multiple) == resolved
+        auto = ExperimentConfig(
+            kind=kind, tau=1.0, replications=AUTO, merge_tolerance=AUTO,
+            truncation_multiple=AUTO,
+        )
+        assert auto == cfg
+
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            (dict(kind="convergence_rate", replications=5), "replications"),
+            (dict(kind="convergence_rate", merge_tolerance=0.5), "merge_tolerance"),
+            (dict(kind="efficiency", replications=1), "replications"),
+            (dict(kind="robustness", replications=1), "replications"),
+        ],
+    )
+    def test_settings_the_kind_cannot_use_named(self, kwargs, field):
+        with pytest.raises(ValueError, match=field) as info:
+            ExperimentConfig(tau=2.0, **kwargs)
+        assert kwargs["kind"] in str(info.value)
 
     def test_explicit_none_restores_pure_gaussian(self):
         rob = ExperimentConfig(kind="robustness", tau=2.0, truncation_multiple=None)
