@@ -21,11 +21,9 @@ from .kernels import (
     GaussianKernel,
     Kernel,
     KernelConfigError,
-    ProfileReport,
     TabulatedKernel,
     TruncatedFlatKernel,
     kernel_to_config,
-    verify_profile,
 )
 
 __version__ = "0.1.0"
@@ -45,8 +43,6 @@ __all__ = [
     "GaussianKernel",
     "TruncatedFlatKernel",
     "TabulatedKernel",
-    "ProfileReport",
-    "verify_profile",
     "kernel_to_config",
     "KernelConfigError",
     "__version__",

@@ -238,7 +238,7 @@ def _resolve_truncation(raw: str):
     lowered = raw.strip().lower()
     if lowered == "auto":
         return AUTO
-    if lowered in ("none", "off"):
+    if lowered == "none":
         return None
     try:
         return float(raw)
@@ -278,28 +278,42 @@ def _cmd_experiment(args) -> None:
     _echo("experiment", fileio.config_dict(config), outputs)
 
 
+# the checks diagnose can run
+_CHECKS = ("radius", "hull", "directional", "influence")
+
+
+def _resolve_checks(raw: str, dimension: int) -> list:
+    """The checks ``--checks`` names, ``auto`` resolved to every check that
+    applies to the input dimension. A list that cannot be honoured raises
+    here, before any run."""
+    checks = [c.strip() for c in raw.split(",") if c.strip()]
+    unknown = set(checks) - set(_CHECKS) - {"auto"}
+    if unknown:
+        raise ValueError(f"--checks names unknown checks: {sorted(unknown)}")
+    if not checks or ("auto" in checks and checks != ["auto"]):
+        raise ValueError(
+            f"--checks must be 'auto' alone or name at least one check, got {raw!r}"
+        )
+    if checks == ["auto"]:
+        checks = ["radius", "directional", "influence"]
+        if dimension <= 2:
+            checks.append("hull")
+    if "hull" in checks and dimension > 2:
+        raise UnsupportedDimensionError(dimension)
+    return checks
+
+
 def _cmd_diagnose(args) -> None:
     points = fileio.read_points_csv(args.input)
     kernel = _kernel_from_args(args)
+    checks = _resolve_checks(args.checks, points.dimension)
     _, trace, clusters = _run_and_label(args, points, kernel, "full")
-    checks = [c.strip() for c in args.checks.split(",") if c.strip()]
     runners = {
         "radius": lambda: radius_trace(trace),
         "hull": lambda: hull_trace(trace),
         "directional": lambda: directional_containment(trace),
         "influence": lambda: influence_decay(trace, kernel, clusters),
     }
-    unknown = set(checks) - set(runners) - {"auto"}
-    if unknown:
-        raise ValueError(f"--checks names unknown checks: {sorted(unknown)}")
-    if not checks or ("auto" in checks and checks != ["auto"]):
-        raise ValueError(
-            f"--checks must be 'auto' alone or name at least one check, got {args.checks!r}"
-        )
-    if checks == ["auto"]:
-        checks = ["radius", "directional", "influence"]
-        if points.dimension <= 2:
-            checks.append("hull")
     report = {
         "converged": trace.converged,
         "iterations": trace.iterations,

@@ -50,6 +50,9 @@ __all__ = [
 ]
 
 _CONTAIN_TOL = 1e-12
+# the random unit directions directional_containment projects onto
+_DIRECTIONS = 20
+_DIRECTION_SEED = 0
 
 
 class UnsupportedDimensionError(ValueError):
@@ -220,25 +223,21 @@ def radius_trace(trace: IterationTrace) -> RadiusReport:
     return RadiusReport(radii=radii, nonincreasing=first is None, first_violation=first)
 
 
-def directional_containment(
-    trace: IterationTrace, n_directions: int = 20, seed: int = 0
-) -> DirectionalReport:
-    """Checks hull containment through support functions: along each random
-    unit direction, the maximum projection must never grow from one
-    iteration to the next. Works in any dimension; in 2D it agrees with the
-    exact hull verdict on everything it can see."""
+def directional_containment(trace: IterationTrace) -> DirectionalReport:
+    """Checks hull containment through support functions: along each of
+    20 random unit directions drawn from seed 0, the maximum projection must
+    never grow from one iteration to the next. Works in any dimension; in 2D
+    it agrees with the exact hull verdict on everything it can see."""
     positions = _positions_from(trace)
-    if n_directions < 1:
-        raise ValueError("n_directions must be at least 1")
     p = positions[0].shape[1]
-    rng = np.random.default_rng(seed)
-    dirs = rng.normal(size=(n_directions, p))
+    rng = np.random.default_rng(_DIRECTION_SEED)
+    dirs = rng.normal(size=(_DIRECTIONS, p))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
     overshoot = [_overshoot(prev, cur, dirs) for prev, cur in zip(positions, positions[1:])]
     tol = _tolerance(positions)
     first = _first([o > tol for o in overshoot])
     return DirectionalReport(
-        n_directions=n_directions,
+        n_directions=_DIRECTIONS,
         contained=first is None,
         first_violation=first,
         max_overshoot=max([0.0, *overshoot]),

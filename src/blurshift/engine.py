@@ -126,6 +126,14 @@ class PointSet:
         return self.positions.shape[1]
 
 
+def _as_count(name: str, value) -> int:
+    """``value`` as a Python int: numpy integers are accepted, while bool
+    and non-integer values raise a ValueError that names the field."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass
 class RunConfig:
     """Iteration settings.
@@ -150,6 +158,7 @@ class RunConfig:
             raise ValueError(f"unknown trace_level: {self.trace_level!r}")
         if not 0 < self.stop_displacement < math.inf:
             raise ValueError("stop_displacement must be positive and finite")
+        self.max_iterations = _as_count("max_iterations", self.max_iterations)
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
         if not isinstance(self.kernel, Kernel):

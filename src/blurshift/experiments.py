@@ -33,6 +33,7 @@ from .engine import (
     majority_mode,
     run,
 )
+from .engine import _as_count
 from .kernels import GaussianKernel
 
 __all__ = [
@@ -119,6 +120,8 @@ class ExperimentConfig:
         for name in ("replications", "merge_tolerance", "truncation_multiple"):
             if getattr(self, name) == AUTO:
                 object.__setattr__(self, name, getattr(kind, name))
+        for name in ("n_points", "replications", "seed", "max_iterations"):
+            object.__setattr__(self, name, _as_count(name, getattr(self, name)))
         multiple = self.truncation_multiple
         if multiple is not None and not (isinstance(multiple, (int, float)) and multiple > 0):
             raise ValueError(
@@ -142,7 +145,7 @@ class ExperimentConfig:
                 f"replications must be at least 2 for {self.kind}, whose table "
                 f"summarizes a spread; got {self.replications}"
             )
-        if not 0 <= int(self.seed) < 2**64:
+        if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit an unsigned 64-bit integer")
         if kind.merge_tolerance is None and self.merge_tolerance is not None:
             raise ValueError(

@@ -1,22 +1,20 @@
 """Radial influence kernels.
 
 A kernel maps a nonnegative inter-point distance to an influence value in
-[0, 1]. The iteration engine only ever feeds distances to a kernel, so every
-family here is radial by construction. All families pin influence exactly 1
-at distance 0.
+[0, 1]. The iteration engine only ever feeds squared distances to a kernel,
+so every family here is radial by construction. All families pin influence
+exactly 1 at distance 0.
 
-A well-formed profile additionally satisfies, on any distance grid:
-influence strictly below 1 away from 0, and nonincreasing with distance.
-``verify_profile`` certifies those clauses on a grid; the analytic families
-(Gaussian, truncated flat) satisfy them by construction whenever their
-parameters allow, while tabulated profiles may be deliberately malformed and
-are only certified by the grid check.
+The Gaussian and piecewise-constant families are nonincreasing with distance
+by construction; the piecewise-constant one may hold 1 away from 0. A
+tabulated profile is interpolated as given, and its monotonicity is not
+checked.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,8 +23,6 @@ __all__ = [
     "TruncatedFlatKernel",
     "TabulatedKernel",
     "Kernel",
-    "ProfileReport",
-    "verify_profile",
     "kernel_to_config",
     "KernelConfigError",
 ]
@@ -57,13 +53,6 @@ class KernelConfigError(ValueError):
     command-line flags, that describe no valid kernel."""
 
 
-def _as_distances(d):
-    arr = np.asarray(d, dtype=float)
-    if np.any(arr < 0):
-        raise ValueError("distances must be nonnegative")
-    return arr
-
-
 class Kernel:
     """Base interface. Subclasses implement ``_fill_sq``, which overwrites a
     float array of nonnegative squared distances with their influences in
@@ -71,17 +60,10 @@ class Kernel:
 
     support_radius: float
 
-    def evaluate(self, distances):
-        """Influence at the given distance(s), in [0, 1].
-
-        Accepts a scalar or an array; negative distances raise ValueError.
-        """
-        d = _as_distances(distances)
-        return self.evaluate_sq(d * d)
-
     def evaluate_sq(self, sq_distances):
-        """Influence from squared distances: ``evaluate(d)`` is exactly
-        ``evaluate_sq(d * d)``. Negative values raise ValueError."""
+        """Influence, in [0, 1], at the given squared distance(s): a scalar
+        gives a float, an array an array of the same shape. Negative values
+        raise ValueError."""
         scalar = np.ndim(sq_distances) == 0
         out = np.atleast_1d(np.array(sq_distances, dtype=float))
         if np.any(out < 0):
@@ -191,7 +173,7 @@ class TabulatedKernel(Kernel):
 
     The first knot must be (0, 1). Beyond the last knot the last value is
     held, so a profile ending at a positive value has infinite support.
-    Values may be non-monotone; ``verify_profile`` is the certification path.
+    Values are interpolated as given: monotonicity is not checked.
     """
 
     knots: tuple
@@ -232,72 +214,6 @@ class TabulatedKernel(Kernel):
         z[...] = np.interp(np.sqrt(z), self._ds, self._vs)
         if keep is not None:
             np.multiply(z, keep, out=z)
-
-
-@dataclass(frozen=True)
-class ProfileReport:
-    """Grid certification of a kernel profile.
-
-    ``unit_at_zero``: influence exactly 1 at distance 0.
-    ``bounded``: all grid influences within [0, 1].
-    ``below_one_for_positive``: influence strictly below 1 at positive grid
-    distances (together with the previous two this is the identity clause).
-    ``nonincreasing``: no increase along the sorted grid (monotonicity clause).
-    ``first_violation``: smallest grid distance at which any clause fails.
-    """
-
-    unit_at_zero: bool
-    bounded: bool
-    below_one_for_positive: bool
-    nonincreasing: bool
-    first_violation: float | None
-
-    @property
-    def identity_clause(self) -> bool:
-        return self.unit_at_zero and self.bounded and self.below_one_for_positive
-
-    @property
-    def monotonicity_clause(self) -> bool:
-        return self.nonincreasing
-
-    @property
-    def passed(self) -> bool:
-        return self.identity_clause and self.monotonicity_clause
-
-
-def verify_profile(kernel: Kernel, grid) -> ProfileReport:
-    """Certify the profile clauses of ``kernel`` on a distance grid.
-
-    The grid must contain 0 and at least two positive distances; it is
-    sorted and deduplicated before checking.
-    """
-    arr = np.unique(_as_distances(grid))
-    if arr.size == 0:
-        raise ValueError("grid must be nonempty")
-    if arr[0] != 0.0:
-        raise ValueError("grid must contain distance 0")
-    if np.count_nonzero(arr > 0) < 2:
-        raise ValueError("grid must contain at least two positive distances")
-
-    vals = np.atleast_1d(kernel.evaluate(arr))
-    unit_at_zero = vals[0] == 1.0
-    bounded_mask = (vals >= 0.0) & (vals <= 1.0)
-    below_mask = np.ones_like(vals, dtype=bool)
-    below_mask[1:] = vals[1:] < 1.0
-    mono_mask = np.ones_like(vals, dtype=bool)
-    mono_mask[1:] = vals[1:] <= vals[:-1]
-
-    ok = bounded_mask & below_mask & mono_mask
-    if not unit_at_zero:
-        ok[0] = False
-    first_violation = None if ok.all() else float(arr[int(np.argmin(ok))])
-    return ProfileReport(
-        unit_at_zero=bool(unit_at_zero),
-        bounded=bool(bounded_mask.all()),
-        below_one_for_positive=bool(below_mask.all()),
-        nonincreasing=bool(mono_mask.all()),
-        first_violation=first_violation,
-    )
 
 
 def kernel_to_config(kernel: Kernel) -> dict:

@@ -9,7 +9,6 @@ Slow by design (several minutes total): run via
 ``pytest -m acceptance`` or the full suite.
 """
 
-import json
 import math
 import time
 from fractions import Fraction

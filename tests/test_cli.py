@@ -16,7 +16,7 @@ import pytest
 
 from blurshift import cli, experiments
 from blurshift.cli import _error_code, build_parser, main
-from blurshift.diagnostics import CounterexampleBreakdownError
+from blurshift.diagnostics import CounterexampleBreakdownError, UnsupportedDimensionError
 from blurshift.engine import IsolatedCenterError, RunConfig, run
 from blurshift.fileio import (
     DimensionMismatchError,
@@ -517,6 +517,18 @@ class TestExperiment:
         assert code == 0
         assert echo["config"]["truncation_multiple"] is None
 
+    def test_truncation_off_is_not_none(self, capsys, tmp_path):
+        # 'none' is the one spelling of the pure Gaussian
+        out = tmp_path / "rep.json"
+        code, echo, err = run_cli(
+            capsys, "experiment", "--kind", "robustness", "--tau", "1",
+            "--reps", "4", "--out", str(out), "--truncation-multiple", "off",
+        )
+        assert code == 1 and echo is None
+        assert err["error"]["code"] == "invalid-argument"
+        assert "--truncation-multiple" in err["error"]["message"]
+        assert not out.exists()
+
     def test_convergence_rate_series(self, capsys, tmp_path):
         out, csv_out = tmp_path / "cr.json", tmp_path / "cr.csv"
         code, echo, _ = run_cli(
@@ -588,7 +600,7 @@ class TestDiagnose:
         assert report["radius"]["nonincreasing"] is True
         assert report["hull"]["nested"] is True
         assert report["directional"]["contained"] is True
-        # the library's default directions
+        # 20 random directions
         assert report["directional"]["n_directions"] == 20
         assert report["config"] == echo["config"]
         assert "n_directions" not in report["config"]
@@ -607,15 +619,28 @@ class TestDiagnose:
         assert "hull" not in report
         assert report["radius"]["nonincreasing"] is True
 
+    @pytest.fixture
+    def no_run(self, monkeypatch):
+        # a check list that cannot be honoured fails before the engine runs
+        def ran(*args, **kwargs):
+            raise AssertionError("the engine ran")
+
+        monkeypatch.setattr(cli, "run", ran)
+
+    @pytest.mark.usefixtures("no_run")
     def test_explicit_hull_in_3d_fails(self, capsys, tmp_path):
         src = write(tmp_path / "p.csv", "1,2,3\n4,5,6\n")
         code, _, err = run_cli(
             capsys, "diagnose", "--input", src, "--output",
-            str(tmp_path / "x.json"), "--tau", "5", "--checks", "hull",
+            str(tmp_path / "x.json"), "--tau", "5", "--checks", "radius,hull",
         )
         assert code == 1
-        assert err["error"]["code"] == "unsupported-dimension"
+        assert err["error"] == {
+            "code": "unsupported-dimension",
+            "message": str(UnsupportedDimensionError(3)),
+        }
 
+    @pytest.mark.usefixtures("no_run")
     def test_unknown_check_rejected(self, capsys, tmp_path, sample_csv):
         code, _, err = run_cli(
             capsys, "diagnose", "--input", sample_csv, "--output",
@@ -624,6 +649,7 @@ class TestDiagnose:
         assert code == 1
         assert err["error"]["code"] == "invalid-argument"
 
+    @pytest.mark.usefixtures("no_run")
     @pytest.mark.parametrize("checks", ["auto,radius", "radius,auto", ",", ""])
     def test_unhonourable_check_list_rejected(self, capsys, tmp_path, sample_csv, checks):
         # 'auto' stands alone, and the list names at least one check

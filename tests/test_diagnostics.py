@@ -236,14 +236,9 @@ class TestDirectionalContainment:
     def test_high_dimension_supported(self):
         rng = np.random.default_rng(6)
         final, trace = full_run(rng.normal(size=(15, 5)), GaussianKernel(2.0))
-        rep = directional_containment(trace, n_directions=12, seed=3)
+        rep = directional_containment(trace)
         assert rep.contained
-        assert rep.n_directions == 12
-
-    def test_direction_count_validated(self):
-        final, trace = full_run([0.0, 1.0], GaussianKernel(1.0), max_iterations=2)
-        with pytest.raises(ValueError):
-            directional_containment(trace, n_directions=0)
+        assert rep.n_directions == 20
 
 
 class TestInfluenceDecay:
@@ -274,7 +269,7 @@ class TestInfluenceDecay:
         assert result.labels[i] != result.labels[j]
         final = trace.positions[-1]
         gap = np.linalg.norm(final[i] - final[j])
-        assert rep.max_cross_influence == pytest.approx(wide.evaluate(gap))
+        assert rep.max_cross_influence == pytest.approx(wide.evaluate_sq(gap * gap))
 
     def test_single_cluster_vacuous(self):
         rng = np.random.default_rng(7)
@@ -346,7 +341,8 @@ class TestInfluenceDecay:
 class TestOscillationKernel:
     def test_profile(self):
         k = oscillation_kernel()
-        got = k.evaluate(np.array([0.0, 0.5, 1.0, 1.5]))
+        d = np.array([0.0, 0.5, 1.0, 1.5])
+        got = k.evaluate_sq(d * d)
         assert got.tolist() == [1.0, 0.5, 0.5, 0.0]
         assert k.support_radius == 1.0
 

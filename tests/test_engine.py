@@ -116,6 +116,15 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(kernel=lambda d: 1.0)
 
+    @pytest.mark.parametrize("value", [2.5, True])
+    def test_max_iterations_must_be_an_integer(self, value):
+        with pytest.raises(ValueError, match="max_iterations must be an integer"):
+            RunConfig(kernel=GaussianKernel(1.0), max_iterations=value)
+
+    def test_numpy_max_iterations_stored_as_int(self):
+        cfg = RunConfig(kernel=GaussianKernel(1.0), max_iterations=np.int64(7))
+        assert type(cfg.max_iterations) is int and cfg.max_iterations == 7
+
 
 class TestFrozenValues:
     def test_two_point_blurring(self):

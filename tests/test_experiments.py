@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from blurshift import cli, experiments
+from blurshift import cli, experiments, fileio
 from blurshift.engine import (
     DEFAULT_MERGE_TOLERANCE,
     PointSet,
@@ -215,6 +215,29 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=field) as info:
             ExperimentConfig(tau=2.0, **kwargs)
         assert kwargs["kind"] in str(info.value)
+
+    COUNTS = dict(replications=3, n_points=20, max_iterations=100, seed=4)
+
+    @pytest.mark.parametrize("field", list(COUNTS))
+    @pytest.mark.parametrize("value", [2.5, True])
+    def test_count_must_be_an_integer(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            ExperimentConfig(kind="efficiency", tau=1.0, **{field: value})
+
+    @pytest.mark.parametrize("field", list(COUNTS))
+    def test_numpy_integer_count_stored_as_int(self, field):
+        cfg = ExperimentConfig(kind="efficiency", tau=1.0, **{field: np.int64(self.COUNTS[field])})
+        assert type(getattr(cfg, field)) is int
+        assert cfg == ExperimentConfig(kind="efficiency", tau=1.0, **{field: self.COUNTS[field]})
+
+    def test_numpy_integer_counts_write_their_report(self, tmp_path):
+        counts = {name: np.int64(value) for name, value in self.COUNTS.items()}
+        numpy_path, plain_path = tmp_path / "numpy.json", tmp_path / "plain.json"
+        report = run_efficiency(ExperimentConfig(kind="efficiency", tau=1.0, **counts))
+        fileio.write_experiment_report_json(str(numpy_path), report)
+        report = run_efficiency(ExperimentConfig(kind="efficiency", tau=1.0, **self.COUNTS))
+        fileio.write_experiment_report_json(str(plain_path), report)
+        assert numpy_path.read_bytes() == plain_path.read_bytes()
 
     def test_explicit_none_restores_pure_gaussian(self):
         rob = ExperimentConfig(kind="robustness", tau=2.0, truncation_multiple=None)

@@ -1,6 +1,9 @@
-"""Every name a module exports in ``__all__`` exists on it."""
+"""Every name a module exports in ``__all__`` exists on it, and no source
+file imports a name it never uses."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -15,9 +18,42 @@ MODULES = [
     "blurshift.shrinkage",
 ]
 
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted(ROOT.glob("src/blurshift/*.py")) + sorted(ROOT.glob("tests/*.py"))
+
 
 @pytest.mark.parametrize("name", MODULES)
 def test_all_names_resolve(name):
     module = importlib.import_module(name)
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert missing == []
+
+
+def unused_imports(tree: ast.Module) -> list:
+    """Names bound by an import in ``tree`` that nothing in it reads, apart
+    from ``__future__`` imports and names listed in the module's ``__all__``."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported = set(ast.literal_eval(node.value))
+    return sorted(
+        f"{name} (line {line})"
+        for name, line in imported.items()
+        if name not in used and name not in exported
+    )
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unused_imports(path):
+    assert unused_imports(ast.parse(path.read_text(), str(path))) == []

@@ -9,7 +9,6 @@ from blurshift.kernels import (
     GaussianKernel,
     TabulatedKernel,
     TruncatedFlatKernel,
-    verify_profile,
 )
 
 from oracles import gaussian_profile, influence_sq, stepped_profile, tabulated_profile
@@ -36,22 +35,22 @@ TAU_RANGE = (1.4916681462400413e-154, 9.480751908109176e153)
 class TestGaussian:
     def test_frozen_values(self):
         k = GaussianKernel(tau=2.0)
-        assert k.evaluate(0.0) == 1.0
-        assert k.evaluate(2.0) == pytest.approx(math.exp(-0.5), rel=1e-15)
-        assert k.evaluate(4.0) == pytest.approx(math.exp(-2.0), rel=1e-15)
+        assert k.evaluate_sq(0.0) == 1.0
+        assert k.evaluate_sq(2.0 * 2.0) == pytest.approx(math.exp(-0.5), rel=1e-15)
+        assert k.evaluate_sq(4.0 * 4.0) == pytest.approx(math.exp(-2.0), rel=1e-15)
 
     def test_scalar_returns_float(self):
-        v = GaussianKernel(1.0).evaluate(1.5)
+        v = GaussianKernel(1.0).evaluate_sq(1.5 * 1.5)
         assert isinstance(v, float)
 
     def test_array_shape_preserved(self):
         k = GaussianKernel(1.0)
         d = np.array([[0.0, 1.0], [2.0, 3.0]])
-        assert k.evaluate(d).shape == (2, 2)
+        assert k.evaluate_sq(d * d).shape == (2, 2)
 
     def test_negative_distance_rejected(self):
         with pytest.raises(ValueError):
-            GaussianKernel(1.0).evaluate(-0.1)
+            GaussianKernel(1.0).evaluate_sq(-0.01)
 
     # the last four square to 0 or a subnormal, or twice their square
     # overflows
@@ -67,7 +66,7 @@ class TestGaussian:
     @pytest.mark.parametrize("tau", TAU_RANGE)
     def test_bandwidth_range_ends_accepted(self, tau):
         k = GaussianKernel(tau=tau)
-        assert k.evaluate(0.0) == 1.0 and k.evaluate(tau) == math.exp(-0.5)
+        assert k.evaluate_sq(0.0) == 1.0 and k.evaluate_sq(tau * tau) == math.exp(-0.5)
 
     def test_bad_support_rejected(self):
         with pytest.raises(ValueError):
@@ -75,18 +74,9 @@ class TestGaussian:
 
     def test_cutoff_boundary_inclusive(self):
         k = GaussianKernel(tau=1.0, support_radius=3.0)
-        assert k.evaluate(3.0) == pytest.approx(math.exp(-4.5), rel=1e-15)
-        assert k.evaluate(3.0000001) == 0.0
-        assert k.evaluate(10.0) == 0.0
-
-    def test_evaluate_sq_matches_evaluate(self):
-        # evaluate(d) is evaluate_sq(d * d) bit for bit, for every family,
-        # on arrays and on scalars
-        d = np.r_[np.linspace(0, 4, 57), 2.0, np.nextafter(2.0, 3.0), 1e-160, 40.0]
-        for k in EVERY_FAMILY:
-            assert k.evaluate(d).tobytes() == k.evaluate_sq(d * d).tobytes()
-            for v in d[::7]:
-                assert k.evaluate(float(v)) == k.evaluate_sq(float(v) * float(v))
+        assert k.evaluate_sq(3.0 * 3.0) == pytest.approx(math.exp(-4.5), rel=1e-15)
+        assert k.evaluate_sq(3.0000001 * 3.0000001) == 0.0
+        assert k.evaluate_sq(10.0 * 10.0) == 0.0
 
     @given(
         tau=st.floats(0.05, 50),
@@ -95,7 +85,8 @@ class TestGaussian:
     @settings(max_examples=60, deadline=None)
     def test_bounds_and_monotonicity(self, tau, d):
         k = GaussianKernel(tau=tau)
-        vals = k.evaluate(np.sort(np.asarray(d)))
+        d = np.sort(np.asarray(d))
+        vals = k.evaluate_sq(d * d)
         assert np.all(vals >= 0) and np.all(vals <= 1)
         assert np.all(np.diff(vals) <= 1e-15)
 
@@ -104,25 +95,27 @@ class TestTruncatedFlat:
     def test_halving_band_semantics(self):
         # 1 at the origin, 1/2 out to distance 1 inclusive, dead beyond
         k = TruncatedFlatKernel(levels=((0.0, 1.0), (1.0, 0.5)))
-        got = k.evaluate(np.array([0.0, 0.25, 0.5, 1.0, 1.0000001, 1.5]))
+        d = np.array([0.0, 0.25, 0.5, 1.0, 1.0000001, 1.5])
+        got = k.evaluate_sq(d * d)
         assert got.tolist() == [1.0, 0.5, 0.5, 0.5, 0.0, 0.0]
         assert k.support_radius == 1.0
 
     def test_multi_band(self):
         k = TruncatedFlatKernel(levels=((0.5, 0.9), (2.0, 0.4), (3.0, 0.1)))
-        got = k.evaluate(np.array([0.0, 0.5, 0.6, 2.0, 2.5, 3.0, 3.1]))
+        d = np.array([0.0, 0.5, 0.6, 2.0, 2.5, 3.0, 3.1])
+        got = k.evaluate_sq(d * d)
         assert got.tolist() == [1.0, 0.9, 0.4, 0.4, 0.1, 0.1, 0.0]
         assert k.support_radius == 3.0
 
     def test_trailing_zero_band_shrinks_support(self):
         k = TruncatedFlatKernel(levels=((1.0, 0.5), (2.0, 0.0)))
         assert k.support_radius == 1.0
-        assert k.evaluate(1.5) == 0.0
+        assert k.evaluate_sq(1.5 * 1.5) == 0.0
 
     def test_explicit_support_tightens(self):
         k = TruncatedFlatKernel(levels=((2.0, 0.5),), support_radius=1.0)
-        assert k.evaluate(0.5) == 0.5
-        assert k.evaluate(1.5) == 0.0
+        assert k.evaluate_sq(0.5 * 0.5) == 0.5
+        assert k.evaluate_sq(1.5 * 1.5) == 0.0
         assert k.support_radius == 1.0
 
     def test_zero_threshold_level_must_be_unit(self):
@@ -163,7 +156,7 @@ class TestTruncatedFlat:
         ref = stepped_profile(((1.0, 0.5), (1.5, 0.25)))
         d = np.r_[np.linspace(0, 3.5, 141), np.nextafter(1.5, 2.0), np.nextafter(1.0, 2.0)]
         want = np.array([ref(float(v)) for v in d])
-        assert np.array_equal(k.evaluate(d), want)
+        assert np.array_equal(k.evaluate_sq(d * d), want)
         assert k.evaluate_sq(2.25) == 0.25 and k.evaluate_sq(np.nextafter(2.25, 3.0)) == 0.0
 
     def test_matches_scalar_reference(self):
@@ -172,16 +165,16 @@ class TestTruncatedFlat:
         ref = stepped_profile(levels)
         d = np.linspace(0, 5, 101)
         want = np.array([ref(float(v)) for v in d])
-        assert np.array_equal(k.evaluate(d), want)
+        assert np.array_equal(k.evaluate_sq(d * d), want)
 
 
 class TestTabulated:
     def test_linear_interpolation(self):
         k = TabulatedKernel(knots=((0.0, 1.0), (2.0, 0.5)))
-        assert k.evaluate(1.0) == pytest.approx(0.75, abs=1e-15)
-        assert k.evaluate(2.0) == 0.5
+        assert k.evaluate_sq(1.0 * 1.0) == pytest.approx(0.75, abs=1e-15)
+        assert k.evaluate_sq(2.0 * 2.0) == 0.5
         # last value holds beyond the final knot
-        assert k.evaluate(5.0) == 0.5
+        assert k.evaluate_sq(5.0 * 5.0) == 0.5
         assert math.isinf(k.support_radius)
 
     def test_cutoff_matches_scalar_reference(self):
@@ -190,13 +183,14 @@ class TestTabulated:
         ref = tabulated_profile(knots)
         d = np.r_[np.linspace(0, 4, 81), 1.7, np.nextafter(1.7, 2.0)]
         want = np.array([ref(float(v)) if v * v <= 1.7 * 1.7 else 0.0 for v in d])
-        np.testing.assert_allclose(k.evaluate(d), want, rtol=1e-15, atol=0)
-        assert k.evaluate(np.nextafter(1.7, 2.0)) == 0.0 and k.evaluate(1.7) > 0.0
+        np.testing.assert_allclose(k.evaluate_sq(d * d), want, rtol=1e-15, atol=0)
+        past = np.nextafter(1.7, 2.0)
+        assert k.evaluate_sq(past * past) == 0.0 and k.evaluate_sq(1.7 * 1.7) > 0.0
 
     def test_terminal_zero_sets_support(self):
         k = TabulatedKernel(knots=((0.0, 1.0), (1.0, 0.25), (2.0, 0.0)))
         assert k.support_radius == 2.0
-        assert k.evaluate(3.0) == 0.0
+        assert k.evaluate_sq(3.0 * 3.0) == 0.0
 
     def test_first_knot_must_be_unit_at_zero(self):
         with pytest.raises(ValueError):
@@ -210,9 +204,10 @@ class TestTabulated:
             TabulatedKernel(knots=((0.0, 1.0), (d, 0.5)))
 
     def test_non_monotone_table_constructs(self):
-        # construction does not police monotonicity; verify_profile does
+        # construction does not check monotonicity: the knots are
+        # interpolated as given
         k = TabulatedKernel(knots=((0.0, 1.0), (1.0, 0.6), (2.0, 0.7)))
-        assert k.evaluate(2.0) == 0.7
+        assert k.evaluate_sq(2.0 * 2.0) == 0.7
 
 
 @pytest.mark.parametrize(
@@ -229,48 +224,13 @@ def test_bad_support_radius_rejected(make, radius):
         make(radius)
 
 
-class TestVerifyProfile:
-    def grid(self):
-        return np.linspace(0.0, 6.0, 61)
-
-    def test_gaussian_passes(self):
-        rep = verify_profile(GaussianKernel(1.0), self.grid())
-        assert rep.passed
-        assert rep.identity_clause and rep.monotonicity_clause
-        assert rep.first_violation is None
-
-    def test_truncated_flat_passes(self):
-        k = TruncatedFlatKernel(levels=((0.0, 1.0), (1.0, 0.5)))
-        rep = verify_profile(k, np.array([0.0, 0.5, 1.5]))
-        assert rep.passed
-
-    def test_monotonicity_violation_located(self):
-        k = TabulatedKernel(knots=((0.0, 1.0), (1.0, 0.6), (2.0, 0.7)))
-        rep = verify_profile(k, np.array([0.0, 1.0, 2.0, 3.0]))
-        assert not rep.passed
-        assert not rep.nonincreasing
-        assert rep.first_violation == 2.0
-
-    def test_unit_plateau_violation(self):
-        k = TabulatedKernel(knots=((0.0, 1.0), (1.0, 1.0), (2.0, 0.0)))
-        rep = verify_profile(k, np.array([0.0, 0.5, 1.0, 2.0]))
-        assert not rep.passed
-        assert not rep.below_one_for_positive
-
-    def test_grid_must_include_zero_and_two_positive(self):
-        with pytest.raises(ValueError):
-            verify_profile(GaussianKernel(1.0), np.array([0.5, 1.0, 2.0]))
-        with pytest.raises(ValueError):
-            verify_profile(GaussianKernel(1.0), np.array([0.0, 1.0]))
-
-
 def test_gaussian_agrees_with_scalar_reference():
     tau = 1.3
     k = GaussianKernel(tau=tau, support_radius=2.5)
     ref = gaussian_profile(tau, cutoff=2.5)
     d = np.linspace(0, 4, 81)
     want = np.array([ref(float(v)) for v in d])
-    assert np.allclose(k.evaluate(d), want, rtol=1e-14, atol=0)
+    assert np.allclose(k.evaluate_sq(d * d), want, rtol=1e-14, atol=0)
 
 
 def test_evaluate_sq_matches_definition():
