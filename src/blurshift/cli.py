@@ -207,7 +207,10 @@ def _cmd_cluster(args) -> None:
     trace_level = args.trace_level
     if args.trace is not None and trace_level == "none":
         raise ValueError("--trace needs a trace level of summary or full")
-    final, trace, clusters = _run_and_label(args, points, kernel, trace_level, data)
+    # the result takes only how the run ended from the trace: record the
+    # trace itself only when a file is named for it
+    recorded = "none" if args.trace is None else trace_level
+    final, trace, clusters = _run_and_label(args, points, kernel, recorded, data)
     resolved = {
         "input": args.input,
         "data": args.data,

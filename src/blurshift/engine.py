@@ -8,14 +8,18 @@ influence kernel:
 * nonblurring: a set of centers is repeatedly averaged against a fixed
   reference cloud, which never moves.
 
-Blurring is nonblurring with the targets equal to the data and the self pair
-pinned at f(0) = 1, so both steps run through one reducer, whatever the size
-of the cloud. Every pair is evaluated exactly, no neighbor pruning. The
-reducer centres the cloud on its mean, so results commute with translation
-up to rounding of the cloud's extent, and accumulates the sums over
-cache-sized tiles in a fixed order; an untruncated Gaussian takes a
-factorised tile that needs no distances, and every other kernel overwrites
-the tile's squared distances with influences in place.
+Both steps run through one reducer plan, whatever the size of the cloud.
+The plan of a cloud is built once: it centres the cloud on its mean, so
+results commute with translation up to rounding of the cloud's extent, and
+holds every array that depends on the cloud alone. Its sweep moves a set of
+targets to their influence-weighted means of the cloud; sweeping the cloud
+itself, ``sweep(None)``, is the blurring step, with the self pair pinned at
+f(0) = 1. A nonblurring run builds one plan of its fixed data and sweeps the
+centres with it every step; a blurring run builds a plan of its moving cloud
+each step. Every pair is evaluated exactly, no neighbor pruning. The sums
+are accumulated over cache-sized tiles in a fixed order; an untruncated
+Gaussian takes a factorised tile that needs no distances, and every other
+kernel overwrites the tile's squared distances with influences in place.
 
 Row blocks of the tiles are dealt round-robin to a fixed number of stripes.
 Each stripe sums its tiles in a fixed order into its own accumulator, and
@@ -226,24 +230,47 @@ def _scaled_weights(w: np.ndarray) -> np.ndarray:
     return scaled
 
 
-def _reduce(
-    targets: np.ndarray, x: np.ndarray, w: np.ndarray, kernel: Kernel, symmetric: bool
-):
-    """New positions of the targets: the influence-weighted means of x.
+# a decorator, not a with block: it costs half as much per call
+@np.errstate(over="ignore", invalid="ignore")
+def _mean(x: np.ndarray, average=lambda v: np.add.reduce(v, axis=0) / v.shape[0]):
+    """``average(x)``, a mean over the rows of x, that cannot overflow; the
+    default is x.mean(axis=0) bit for bit, without its wrapper's cost.
 
-    Raises IsolatedCenterError for the first target that collects zero
-    influence. With symmetric=True the targets are x itself:
-    each pair is evaluated once, every off-diagonal tile is also scattered
-    transposed into its column rows, and the self pair enters with influence
-    exactly f(0) = 1.
+    Where an entry comes out not finite, it is taken again as the largest
+    |coordinate| of its column times the average of the column scaled by
+    it, which stays within [-1, 1]. Finite entries keep their bits, and no
+    RuntimeWarning is emitted."""
+    m = average(x)
+    # a Python loop: numpy's own checks cost more than this on a few entries
+    if all(map(math.isfinite, m.ravel().tolist())):
+        return m
+    wide = ~np.isfinite(m)
+    cols = wide.reshape(-1, x.shape[1]).any(axis=0)
+    top = np.abs(x[:, cols]).max(axis=0)
+    m[..., cols] = np.where(wide[..., cols], top * average(x[:, cols] / top), m[..., cols])
+    return m
+
+
+def _plan(x: np.ndarray, w: np.ndarray, kernel: Kernel):
+    """The reducer plan of the cloud x with weights w. Its data side is
+    built here, once; the returned ``sweep(targets)`` moves the targets to
+    their influence-weighted means of x. ``sweep(None)`` is the blurring
+    step, whose targets are x itself: each pair is evaluated once, every
+    off-diagonal tile is also scattered transposed into its column rows, and
+    the self pair enters with influence exactly f(0) = 1. A sweep raises
+    IsolatedCenterError for the first target that collects zero influence.
 
     Everything is centred on the data mean first, which makes the sums
     commute with translation up to rounding of the extent, not of |x|. An
-    untruncated Gaussian whose centred spread keeps every exponent within
-    ``_EXP_ARG_LIMIT`` is factorised, exp(-|u - v|^2) =
-    e^{-|u|^2} e^{-|v|^2} e^{2 u.v}, so a tile costs one product and one
-    exp; for any other kernel ``kernel._fill_sq`` overwrites the tile of
-    centred expanded squared distances, clamped at 0, with influences.
+    untruncated Gaussian whose centred spread, of the data and the targets
+    together, keeps every exponent within ``_EXP_ARG_LIMIT`` is factorised,
+    exp(-|u - v|^2) = e^{-|u|^2} e^{-|v|^2} e^{2 u.v}, so a tile costs one
+    product and one exp; for any other kernel ``kernel._fill_sq`` overwrites
+    the tile of centred expanded squared distances, clamped at 0, with
+    influences. The plan builds the data side of the tile path that the data
+    alone allow; a sweep whose targets push the spread to the limit builds
+    the generic side for itself, uncached, so the path is still chosen from
+    the data and the targets together.
 
     Row block b of ``_TILE_ROWS`` targets goes to stripe b mod ``_STRIPES``;
     each stripe walks its blocks in order, in tiles of ``_TILE_COLS``
@@ -253,89 +280,101 @@ def _reduce(
     result.
     """
     n, p = x.shape
-    m = targets.shape[0]
-    mu = x.mean(axis=0)
+    mu = _mean(x)
     xc = x - mu
-    tc = xc if symmetric else targets - mu
     xx = np.einsum("ij,ij->i", xc, xc)
-    tt = xx if symmetric else np.einsum("ij,ij->i", tc, tc)
-    spread = max(xx.max(initial=0.0), tt.max(initial=0.0))
+    reach = xx.max(initial=0.0)
     # a pairwise squared distance reaches four times the largest from the mean
-    if not spread <= np.finfo(float).max / 4:
-        raise ValueError("the cloud is too wide: its pairwise squared distances overflow")
-    factored = (
-        isinstance(kernel, GaussianKernel)
-        and not math.isfinite(kernel.support_radius)
-        and spread < _EXP_ARG_LIMIT * (kernel.tau * kernel.tau)
-    )
-    V = np.empty((n, p + 1))
-    # at least two columns, zeros after the first p: a k=1 matmul is slower
-    # than an elementwise outer product, a k=2 one faster, and r c + 0 0 = r c
-    rows, cols = np.zeros((m, max(p, 2))), np.zeros((n, max(p, 2)))
-    if factored:
-        # rows times columns of the cross term give 2 u.v with u = x / (sqrt 2 tau)
-        scale = math.sqrt(2.0) * kernel.tau
-        np.divide(tc, scale, out=rows[:, :p])
-        np.multiply(xc, 2.0 / scale, out=cols[:, :p])
-        a = np.exp(xx / (-2.0 * kernel.tau * kernel.tau))
-        V[:, p] = a * w
-    else:
-        rows[:, :p] = tc
-        np.multiply(xc, -2.0, out=cols[:, :p])
-        V[:, p] = w
-    V[:, :p] = V[:, p, None] * xc
+    widest = np.finfo(float).max / 4
+    # spreads below this take the factorised tile
+    gaussian = isinstance(kernel, GaussianKernel) and not math.isfinite(kernel.support_radius)
+    limit = _EXP_ARG_LIMIT * (kernel.tau * kernel.tau) if gaussian else 0.0
 
-    def tile(i0: int, i1: int, j0: int, j1: int, buf: np.ndarray) -> np.ndarray:
-        # contiguous head of the flat buffer: a strided view of a full-size
-        # tile doubles the cost of the ufuncs on small tiles
-        z = buf[: (i1 - i0) * (j1 - j0)].reshape(i1 - i0, j1 - j0)
-        np.matmul(rows[i0:i1], cols[j0:j1].T, out=z)
+    def side(factored: bool):
+        # at least two columns, zeros after the first p: a k=1 matmul is slower
+        # than an elementwise outer product, a k=2 one faster, and r c + 0 0 = r c
+        cols, V, a = np.zeros((n, max(p, 2))), np.empty((n, p + 1)), None
         if factored:
-            return np.exp(z, out=z)
-        z += tt[i0:i1, None]
-        z += xx[None, j0:j1]
-        np.maximum(z, 0.0, out=z)
-        if symmetric and i0 == j0:
-            np.fill_diagonal(z, 0.0)
-        kernel._fill_sq(z)
-        return z
+            # rows times columns of the cross term give 2 u.v with u = x / (sqrt 2 tau)
+            np.multiply(xc, 2.0 / (math.sqrt(2.0) * kernel.tau), out=cols[:, :p])
+            a = np.exp(xx / (-2.0 * kernel.tau * kernel.tau))
+        else:
+            np.multiply(xc, -2.0, out=cols[:, :p])
+        V[:, p] = w if a is None else a * w
+        V[:, :p] = V[:, p, None] * xc
+        return cols, V, a
 
-    def stripe(s: int) -> np.ndarray:
-        acc = np.zeros((m, p + 1))
-        buf = np.empty(_TILE_ROWS * max(_TILE_ROWS, _TILE_COLS))
-        for i0 in range(s * _TILE_ROWS, m, _STRIPES * _TILE_ROWS):
-            i1 = min(i0 + _TILE_ROWS, m)
-            if symmetric:
-                acc[i0:i1] += tile(i0, i1, i0, i1, buf) @ V[i0:i1]
-            for j0 in range(i1 if symmetric else 0, n, _TILE_COLS):
-                j1 = min(j0 + _TILE_COLS, n)
-                F = tile(i0, i1, j0, j1, buf)
-                acc[i0:i1] += F @ V[j0:j1]
-                if symmetric:
-                    acc[j0:j1] += F.T @ V[i0:i1]
-        return acc
+    # no side for a cloud too wide to sweep: its products could overflow, and
+    # every sweep raises first
+    data_side = side(reach < limit) if reach <= widest else None
 
-    stripes = range(min(_STRIPES, max(1, -(-m // _TILE_ROWS))))
-    workers = min(len(stripes), _stripe_workers()) if m * n >= _THREADED_PAIRS else 1
-    if workers == 1:
-        # no thread pool: it costs more than a whole small step
-        parts = [stripe(s) for s in stripes]
-    else:
-        # imported here, not at module level: concurrent.futures loads
-        # logging, a startup cost for every import of the package
-        from concurrent.futures import ThreadPoolExecutor
+    def sweep(targets: Optional[np.ndarray]) -> np.ndarray:
+        blur = targets is None
+        tc = xc if blur else targets - mu
+        tt = xx if blur else np.einsum("ij,ij->i", tc, tc)
+        spread = reach if blur else max(reach, tt.max(initial=0.0))
+        if not spread <= widest:
+            raise ValueError("the cloud is too wide: its pairwise squared distances overflow")
+        factored = spread < limit
+        # targets that push the spread to the limit need the generic side
+        cols, V, a = side(False) if reach < limit <= spread else data_side
+        m = tc.shape[0]
+        rows = np.zeros((m, cols.shape[1]))
+        rows[:, :p] = tc / (math.sqrt(2.0) * kernel.tau) if factored else tc
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(stripe, stripes))
-    acc = parts[0]
-    for part in parts[1:]:
-        acc += part
-    if factored:
-        acc *= (a if symmetric else np.exp(tt / (-2.0 * kernel.tau * kernel.tau)))[:, None]
-    zero = np.flatnonzero(acc[:, p] == 0.0)
-    if zero.size:
-        raise IsolatedCenterError(int(zero[0]))
-    return acc[:, :p] / acc[:, p, None] + mu
+        def tile(i0: int, i1: int, j0: int, j1: int, buf: np.ndarray) -> np.ndarray:
+            # contiguous head of the flat buffer: a strided view of a full-size
+            # tile doubles the cost of the ufuncs on small tiles
+            z = buf[: (i1 - i0) * (j1 - j0)].reshape(i1 - i0, j1 - j0)
+            np.matmul(rows[i0:i1], cols[j0:j1].T, out=z)
+            if factored:
+                return np.exp(z, out=z)
+            z += tt[i0:i1, None]
+            z += xx[None, j0:j1]
+            np.maximum(z, 0.0, out=z)
+            if blur and i0 == j0:
+                np.fill_diagonal(z, 0.0)
+            kernel._fill_sq(z)
+            return z
+
+        def stripe(s: int) -> np.ndarray:
+            acc = np.zeros((m, p + 1))
+            buf = np.empty(_TILE_ROWS * max(_TILE_ROWS, _TILE_COLS))
+            for i0 in range(s * _TILE_ROWS, m, _STRIPES * _TILE_ROWS):
+                i1 = min(i0 + _TILE_ROWS, m)
+                if blur:
+                    acc[i0:i1] += tile(i0, i1, i0, i1, buf) @ V[i0:i1]
+                for j0 in range(i1 if blur else 0, n, _TILE_COLS):
+                    j1 = min(j0 + _TILE_COLS, n)
+                    F = tile(i0, i1, j0, j1, buf)
+                    acc[i0:i1] += F @ V[j0:j1]
+                    if blur:
+                        acc[j0:j1] += F.T @ V[i0:i1]
+            return acc
+
+        stripes = range(min(_STRIPES, max(1, -(-m // _TILE_ROWS))))
+        workers = min(len(stripes), _stripe_workers()) if m * n >= _THREADED_PAIRS else 1
+        if workers == 1:
+            # no thread pool: it costs more than a whole small step
+            parts = [stripe(s) for s in stripes]
+        else:
+            # imported here, not at module level: concurrent.futures loads
+            # logging, a startup cost for every import of the package
+            from concurrent.futures import ThreadPoolExecutor
+
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                parts = list(pool.map(stripe, stripes))
+        acc = parts[0]
+        for part in parts[1:]:
+            acc += part
+        if factored:
+            acc *= (a if blur else np.exp(tt / (-2.0 * kernel.tau * kernel.tau)))[:, None]
+        zero = np.flatnonzero(acc[:, p] == 0.0)
+        if zero.size:
+            raise IsolatedCenterError(int(zero[0]))
+        return acc[:, :p] / acc[:, p, None] + mu
+
+    return sweep
 
 
 def blurring_step(points: PointSet, kernel: Kernel) -> PointSet:
@@ -346,7 +385,7 @@ def blurring_step(points: PointSet, kernel: Kernel) -> PointSet:
     influence exactly 1, so denominators are always positive.
     """
     x, w = points.positions, points.weights
-    return PointSet(_reduce(x, x, _scaled_weights(w), kernel, symmetric=True), w.copy())
+    return PointSet(_plan(x, _scaled_weights(w), kernel)(None), w.copy())
 
 
 def nonblurring_step(centers: np.ndarray, data: PointSet, kernel: Kernel) -> np.ndarray:
@@ -360,7 +399,7 @@ def nonblurring_step(centers: np.ndarray, data: PointSet, kernel: Kernel) -> np.
         c = c[:, None]
     if c.shape[1] != data.dimension:
         raise ValueError("centers and data must share a dimension")
-    return _reduce(c, data.positions, _scaled_weights(data.weights), kernel, symmetric=False)
+    return _plan(data.positions, _scaled_weights(data.weights), kernel)(c)
 
 
 def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -387,7 +426,7 @@ def _max_pairwise_distance(x: np.ndarray) -> float:
     rounding of r, lower and D, which scales with max r and p, and
     underflow of the squares."""
     fi = np.finfo(float)
-    r = np.sqrt(_sq_dists(x, x.mean(axis=0)[None])[:, 0])
+    r = np.sqrt(_sq_dists(x, _mean(x)[None])[:, 0])
     far = int(np.argmax(r))
     best = float(_sq_dists(x[far, None], x).max())
     slack = (x.shape[1] + 2) * (8.0 * fi.eps * r[far] + math.sqrt(fi.tiny))
@@ -400,14 +439,15 @@ def _max_pairwise_distance(x: np.ndarray) -> float:
 def _cloud_stds(x: np.ndarray) -> np.ndarray:
     if x.shape[0] < 2:
         return np.zeros(x.shape[1])
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         stds = x.std(axis=0, ddof=1)
     wide = ~np.isfinite(stds)
     if wide.any():
         # each squared deviation fits a double but their sum need not: sum
         # them scaled by the largest, then scale back
-        dev = x[:, wide] - x[:, wide].mean(axis=0)
+        dev = x[:, wide] - _mean(x[:, wide])
         top = np.abs(dev).max(axis=0)
+        top[top == 0.0] = 1.0  # all equal: the std is 0
         stds[wide] = top * (dev / top).std(axis=0, ddof=1)
     return stds
 
@@ -424,14 +464,17 @@ def run(points: PointSet, config: RunConfig, data: Optional[PointSet] = None):
     budget is not an error; the trace's ``converged`` flag reports it. The
     inputs are checked here once; the steps run on bare arrays.
     """
-    symmetric = config.mode == "blurring"
-    if symmetric and data is not None:
+    blurring = config.mode == "blurring"
+    if blurring and data is not None:
         raise ValueError("blurring mode does not take separate data")
     fixed = points if data is None else data
     if fixed.dimension != points.dimension:
         raise ValueError("centers and data must share a dimension")
     x = points.positions.copy()
     w = _scaled_weights(fixed.weights)
+    # a nonblurring run sweeps one plan of its fixed data, a blurring run a
+    # new plan of the moving cloud each step
+    sweep = None if blurring else _plan(fixed.positions, w, config.kernel)
     disps, radii, stds = [], [], []
     positions = [] if config.trace_level == "full" else None
 
@@ -445,10 +488,7 @@ def run(points: PointSet, config: RunConfig, data: Optional[PointSet] = None):
 
     converged = False
     for t in range(1, config.max_iterations + 1):
-        if symmetric:
-            new_x = _reduce(x, x, w, config.kernel, symmetric=True)
-        else:
-            new_x = _reduce(x, fixed.positions, w, config.kernel, symmetric=False)
+        new_x = _plan(x, w, config.kernel)(None) if blurring else sweep(x)
         if t == 1:
             # only now: the first step rejects a cloud too wide to measure
             # before its radius and stds overflow
@@ -517,8 +557,10 @@ def extract_clusters(
         raise ValueError("merge_tolerance must be nonnegative and finite")
     x, w = final.positions, _scaled_weights(final.weights)
     labels = _component_labels(x, merge_tolerance)
-    sums = np.column_stack([np.bincount(labels, weights=w * xd) for xd in x.T])
-    centers = sums / np.bincount(labels, weights=w)[:, None]
+    total = np.bincount(labels, weights=w)[:, None]
+    centers = _mean(
+        x, lambda v: np.column_stack([np.bincount(labels, weights=w * vd) for vd in v.T]) / total
+    )
     return ClusterResult(labels=labels, centers=centers, sizes=np.bincount(labels))
 
 

@@ -14,7 +14,7 @@ import sys
 import numpy as np
 import pytest
 
-from blurshift import cli, experiments
+from blurshift import cli, engine, experiments
 from blurshift.cli import _error_code, build_parser, main
 from blurshift.diagnostics import CounterexampleBreakdownError, UnsupportedDimensionError
 from blurshift.engine import IsolatedCenterError, RunConfig, run
@@ -267,6 +267,38 @@ class TestCluster:
         assert err["error"]["code"] == "invalid-argument"
         assert name in err["error"]["message"]
         assert not out.exists()
+
+    def test_trace_recorded_only_for_a_trace_file(self, capsys, monkeypatch, tmp_path, sample_csv):
+        def no_radius(x):
+            raise AssertionError("a radius was computed")
+
+        monkeypatch.setattr(engine, "_max_pairwise_distance", no_radius)
+        out = tmp_path / "r.json"
+        argv = ["cluster", "--input", sample_csv, "--output", str(out), "--tau", "1"]
+        code, echo, _ = run_cli(capsys, *argv)
+        assert code == 0
+        # the flag's value is still echoed and written
+        assert echo["config"]["trace_level"] == "summary"
+        assert json.loads(out.read_text())["config"]["trace_level"] == "summary"
+        code, _, err = run_cli(capsys, *argv, "--trace", str(tmp_path / "t.csv"))
+        assert code == 1 and err["error"]["code"] == "internal-error"
+
+    def test_copies_of_a_coordinate_near_the_largest_double(self, tmp_path):
+        # their plain mean overflows, although every distance is 0
+        pts = write(tmp_path / "big.csv", "1e307\n" * 200)
+        out, trace = tmp_path / "r.json", tmp_path / "t.csv"
+        code, lines, stderr = run_cli_subprocess(
+            tmp_path, "cluster", "--input", pts, "--output", str(out),
+            "--trace", str(trace), "--tau", "1",
+        )
+        assert code == 0
+        assert stderr == ""
+        assert len(lines) == 1
+        result = json.loads(out.read_text())
+        assert result["centers"] == [[1e307]]
+        assert result["final_positions"] == [[1e307]] * 200
+        rows = np.loadtxt(trace, delimiter=",", skiprows=1, usecols=(2, 3), ndmin=2)
+        assert np.all(rows == 0.0)
 
     def test_trace_with_level_none_rejected(self, capsys, tmp_path, sample_csv):
         code, _, err = run_cli(

@@ -427,8 +427,10 @@ class TestIsolation:
 
     def test_steps_report_overflowing_spread(self):
         # the second cloud's squared distances from its mean stay finite,
-        # but its pairwise squared distance, four times as large, does not
-        for wide in (np.array([0.0, 1e160, 3e160]), np.array([0.0, 1.5e154])):
+        # but its pairwise squared distance, four times as large, does not;
+        # the third's doubled coordinates overflow too, and must not warn
+        clouds = ([0.0, 1e160, 3e160], [0.0, 1.5e154], [-1.7e308, 1.7e308])
+        for wide in map(np.array, clouds):
             with pytest.raises(ValueError, match="overflow"):
                 blurring_step(PointSet(wide), GaussianKernel(1.0))
             with pytest.raises(ValueError, match="overflow"):
@@ -515,16 +517,33 @@ class TestRun:
         x = np.vstack([rng.normal(0.0, 1.0, (150, 2)), rng.normal(4.0, 1.0, (150, 2))])
         w = rng.uniform(0.5, 2.0, 300)
         data = PointSet(x, w)
-        for kernel in (GaussianKernel(0.6), GaussianKernel(0.6, support_radius=1.8)):
+        cases = [
+            (data, None, GaussianKernel(0.6)),
+            (data, None, GaussianKernel(0.6, support_radius=1.8)),
+        ]
+        if mode == "nonblurring":
+            # centres 17 from the data mean, past the factorised tile's limit
+            # of sqrt(700) tau = 15.9, which the first step draws into the
+            # data: the run switches from the generic tile to the factorised
+            far = PointSet(x.mean(axis=0) + np.array([[17.0, 0.0], [0.0, -17.5]]))
+            cases.append((far, data, GaussianKernel(0.6)))
+        for start, fixed, kernel in cases:
             cfg = RunConfig(kernel=kernel, mode=mode, max_iterations=40)
-            final, trace = run(data, cfg)
-            cur, disps, converged = x, [math.nan], False
-            states = [x]
+            runs = []
+            generic = tiles_seen(kernel, lambda: runs.append(run(start, cfg, data=fixed)))
+            final, trace = runs[0]
+            if fixed is not None:
+                assert 0 < len(generic) < trace.iterations
+                want = dense_nonblurring_step(start.positions, x, w, kernel)
+                got = nonblurring_step(start.positions, fixed, kernel)
+                np.testing.assert_allclose(got, want, rtol=1e-11, atol=1e-13)
+            cur, disps, converged = start.positions, [math.nan], False
+            states = [cur]
             for _ in range(cfg.max_iterations):
                 if mode == "blurring":
                     new = blurring_step(PointSet(cur, w), kernel).positions
                 else:
-                    new = nonblurring_step(cur, data, kernel)
+                    new = nonblurring_step(cur, start if fixed is None else fixed, kernel)
                 d = new - cur
                 disps.append(float(np.sqrt(np.max(np.einsum("ij,ij->i", d, d)))))
                 cur = new
@@ -535,7 +554,7 @@ class TestRun:
             assert trace.iterations == len(states) - 1 > 1
             assert trace.converged == converged
             assert final.positions.tobytes() == cur.tobytes()
-            assert final.weights.tobytes() == w.tobytes()
+            assert final.weights.tobytes() == start.weights.tobytes()
             radii = [engine._max_pairwise_distance(s) for s in states]
             assert trace.radii.tobytes() == np.array(radii).tobytes()
             np.testing.assert_array_equal(trace.max_displacements, disps)
@@ -549,12 +568,17 @@ class TestRun:
             post_init(self)
 
         monkeypatch.setattr(PointSet, "__post_init__", counting)
+        # and one reducer plan per nonblurring run, one per blurring step
+        plans = []
+        plan = engine._plan
+        monkeypatch.setattr(engine, "_plan", lambda *args: plans.append(args) or plan(*args))
         rng = np.random.default_rng(64)
         # two blobs six bandwidths apart drift together for far longer than
         # 50 iterations; the centres settle to within rounding, not below it
         ps = PointSet(np.r_[rng.normal(-3.0, 0.3, 20), rng.normal(3.0, 0.3, 20)])
-        for mode in ("blurring", "nonblurring"):
+        for mode, want_plans in (("blurring", 50), ("nonblurring", 1)):
             built.clear()
+            plans.clear()
             cfg = RunConfig(
                 kernel=GaussianKernel(1.0),
                 mode=mode,
@@ -564,6 +588,7 @@ class TestRun:
             _, trace = run(ps, cfg)
             assert trace.iterations == 50 and not trace.converged
             assert len(built) <= 2, (mode, len(built))
+            assert len(plans) == want_plans, mode
 
     @pytest.mark.parametrize("mode", ["blurring", "nonblurring"])
     @pytest.mark.parametrize("trace_level", ["summary", "none"])
@@ -579,6 +604,27 @@ class TestRun:
         ps = PointSet(np.array([0.0] * 3 + [1.3e154] * 3))
         _, trace = run(ps, RunConfig(kernel=GaussianKernel(1.0)))
         np.testing.assert_allclose(trace.stds, 1.3e154 * math.sqrt(0.3), rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("mode", ["blurring", "nonblurring"])
+    def test_copies_of_a_coordinate_near_the_largest_double(self, mode):
+        # the plain mean of 200 copies of 1e307 overflows; every distance is
+        # 0, and a leaked RuntimeWarning fails the test
+        x = np.full((200, 1), 1e307)
+        final, trace = run(PointSet(x), RunConfig(kernel=GaussianKernel(1.0), mode=mode))
+        assert trace.converged
+        assert final.positions.tobytes() == x.tobytes()
+        assert np.all(trace.radii == 0.0) and np.all(trace.stds == 0.0)
+        clusters = extract_clusters(final)
+        assert clusters.centers.tolist() == [[1e307]]
+        assert clusters.sizes.tolist() == [200]
+
+    def test_half_shifted_near_the_largest_double_is_too_wide(self):
+        # one ulp of 1e307 apart, 1.25e291: the squared distance really overflows
+        x = np.full((200, 1), 1e307)
+        x[100:] += 1e291
+        for mode in ("blurring", "nonblurring"):
+            with pytest.raises(ValueError, match="too wide"):
+                run(PointSet(x), RunConfig(kernel=GaussianKernel(1.0), mode=mode))
 
     def test_nonblurring_with_separate_centers(self):
         rng = np.random.default_rng(8)
