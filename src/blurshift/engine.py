@@ -9,17 +9,26 @@ influence kernel:
   reference cloud, which never moves.
 
 Both steps run through one reducer plan, whatever the size of the cloud.
-The plan of a cloud is built once: it centres the cloud on its mean, so
-results commute with translation up to rounding of the cloud's extent, and
-holds every array that depends on the cloud alone. Its sweep moves a set of
-targets to their influence-weighted means of the cloud; sweeping the cloud
-itself, ``sweep(None)``, is the blurring step, with the self pair pinned at
-f(0) = 1. A nonblurring run builds one plan of its fixed data and sweeps the
-centres with it every step; a blurring run builds a plan of its moving cloud
-each step. Every pair is evaluated exactly, no neighbor pruning. The sums
+A plan takes a stack of clouds, its leading batch axis, and is built once:
+it centres each cloud on its mean, so results commute with translation up
+to rounding of the cloud's extent, and holds every array that depends on
+the clouds alone. Its sweep moves each member's targets to their
+influence-weighted means of that member's cloud; sweeping the clouds
+themselves, ``sweep(None)``, is the blurring step, with the self pair pinned
+at f(0) = 1. Every pair is evaluated exactly, no neighbor pruning. The sums
 are accumulated over cache-sized tiles in a fixed order; an untruncated
 Gaussian takes a factorised tile that needs no distances, and every other
 kernel overwrites the tile's squared distances with influences in place.
+The tile path is chosen per member, and the members on one path are swept
+as a stack of tiles, one per member, through the same ufunc sequence as a
+member alone, so a member's result never depends on its batch.
+
+One private loop steps a batch of runs: a nonblurring batch builds one plan
+of its fixed data and sweeps the centres with it every step, a blurring
+batch a plan of its moving clouds each step, and a member leaves when it
+converges, reaches the iteration cap or fails. ``run`` is the batch of one
+that records its trace; the Monte Carlo tables run their replications in
+batches of up to ``_BATCH``.
 
 Row blocks of the tiles are dealt round-robin to a fixed number of stripes.
 Each stripe sums its tiles in a fixed order into its own accumulator, and
@@ -78,6 +87,13 @@ _STRIPES = 2
 _THREADED_PAIRS = 10**8
 # largest exponent the factorised Gaussian tiles may produce
 _EXP_ARG_LIMIT = 700.0
+# largest squared spread from the mean that a sweep takes: a pairwise squared
+# distance reaches four times as much
+_WIDEST = np.finfo(float).max / 4
+# runs stepped together as one batch: at most this many, and few enough that
+# a stripe's stack of tiles, one per run, stays within the byte budget
+_BATCH = 64
+_BATCH_BYTES = 2**23
 
 
 class IsolatedCenterError(RuntimeError):
@@ -232,9 +248,11 @@ def _scaled_weights(w: np.ndarray) -> np.ndarray:
 
 # a decorator, not a with block: it costs half as much per call
 @np.errstate(over="ignore", invalid="ignore")
-def _mean(x: np.ndarray, average=lambda v: np.add.reduce(v, axis=0) / v.shape[0]):
+def _mean(x: np.ndarray, average=lambda v: np.add.reduce(v, axis=-2, keepdims=True) / v.shape[-2]):
     """``average(x)``, a mean over the rows of x, that cannot overflow; the
-    default is x.mean(axis=0) bit for bit, without its wrapper's cost.
+    default is x.mean(axis=-2, keepdims=True) bit for bit, without its
+    wrapper's cost, and takes a stack of clouds (B, n, p) as well as one
+    cloud (n, p).
 
     Where an entry comes out not finite, it is taken again as the largest
     |coordinate| of its column times the average of the column scaled by
@@ -245,136 +263,187 @@ def _mean(x: np.ndarray, average=lambda v: np.add.reduce(v, axis=0) / v.shape[0]
     if all(map(math.isfinite, m.ravel().tolist())):
         return m
     wide = ~np.isfinite(m)
-    cols = wide.reshape(-1, x.shape[1]).any(axis=0)
-    top = np.abs(x[:, cols]).max(axis=0)
-    m[..., cols] = np.where(wide[..., cols], top * average(x[:, cols] / top), m[..., cols])
+    cols = wide.reshape(-1, x.shape[-1]).any(axis=0)
+    top = np.abs(x[..., cols]).max(axis=-2, keepdims=True)
+    m[..., cols] = np.where(wide[..., cols], top * average(x[..., cols] / top), m[..., cols])
     return m
 
 
-def _plan(x: np.ndarray, w: np.ndarray, kernel: Kernel):
-    """The reducer plan of the cloud x with weights w. Its data side is
-    built here, once; the returned ``sweep(targets)`` moves the targets to
-    their influence-weighted means of x. ``sweep(None)`` is the blurring
-    step, whose targets are x itself: each pair is evaluated once, every
-    off-diagonal tile is also scattered transposed into its column rows, and
-    the self pair enters with influence exactly f(0) = 1. A sweep raises
-    IsolatedCenterError for the first target that collects zero influence.
+def _paths(spreads: list, limit: float) -> dict:
+    """The members of each tile path, in order, by their squared spreads:
+    True for the factorised tile, below ``limit``, False for the generic
+    one, and None for the members too wide to sweep."""
+    paths = {}
+    for b, s in enumerate(spreads):
+        paths.setdefault(s < limit if s <= _WIDEST else None, []).append(b)
+    return paths
 
-    Everything is centred on the data mean first, which makes the sums
-    commute with translation up to rounding of the extent, not of |x|. An
-    untruncated Gaussian whose centred spread, of the data and the targets
-    together, keeps every exponent within ``_EXP_ARG_LIMIT`` is factorised,
-    exp(-|u - v|^2) = e^{-|u|^2} e^{-|v|^2} e^{2 u.v}, so a tile costs one
-    product and one exp; for any other kernel ``kernel._fill_sq`` overwrites
-    the tile of centred expanded squared distances, clamped at 0, with
-    influences. The plan builds the data side of the tile path that the data
-    alone allow; a sweep whose targets push the spread to the limit builds
-    the generic side for itself, uncached, so the path is still chosen from
-    the data and the targets together.
+
+def _plan(x: np.ndarray, w: np.ndarray, kernel: Kernel):
+    """The reducer plan of a stack of B clouds x (B, n, p) with weights w
+    (B, n). Its data side is built here, once; the returned
+    ``sweep(targets)`` moves each member's targets (B, m, p) to their
+    influence-weighted means of that member's cloud, and returns them with
+    a dict of the members that failed, each with its error: a ValueError
+    for a member too wide to sweep, IsolatedCenterError for the first target
+    of a member that collects zero influence. ``sweep(None)`` is the
+    blurring step, whose targets are x itself: each pair is evaluated once,
+    every off-diagonal tile is also scattered transposed into its column
+    rows, and the self pair enters with influence exactly f(0) = 1.
+
+    Every member runs the same ufunc sequence as a stack of one; the batch
+    axis only leads each array, and the slices of a batched product are the
+    products of one member, so a member gets bitwise the result it gets
+    alone, whatever else is in its batch.
+
+    Everything is centred on each member's data mean first, which makes the
+    sums commute with translation up to rounding of the extent, not of |x|.
+    An untruncated Gaussian whose centred spread, of the data and the
+    targets together, keeps every exponent within ``_EXP_ARG_LIMIT`` is
+    factorised, exp(-|u - v|^2) = e^{-|u|^2} e^{-|v|^2} e^{2 u.v}, so a tile
+    costs one product and one exp; for any other kernel ``kernel._fill_sq``
+    overwrites the tile of centred expanded squared distances, clamped at 0,
+    with influences. The path is chosen per member and per sweep, and the
+    members of one path are swept together. The plan builds the data side
+    of the tile path that each member's data alone allow; a sweep whose
+    members do not match that side builds the side they need for itself,
+    uncached.
 
     Row block b of ``_TILE_ROWS`` targets goes to stripe b mod ``_STRIPES``;
     each stripe walks its blocks in order, in tiles of ``_TILE_COLS``
-    columns, into its own accumulator, and the accumulators are added in
-    stripe order. Which stripes exist depends on m alone, so the thread
-    count, one below ``_THREADED_PAIRS`` pairs, never changes a bit of the
-    result.
+    columns (a stack of one such tile per member), into its own
+    accumulator, and the accumulators are added in stripe order. Which
+    stripes exist depends on m alone, so the thread count, one below
+    ``_THREADED_PAIRS`` pairs, never changes a bit of the result.
     """
-    n, p = x.shape
+    B, n, p = x.shape
     mu = _mean(x)
     xc = x - mu
-    xx = np.einsum("ij,ij->i", xc, xc)
-    reach = xx.max(initial=0.0)
-    # a pairwise squared distance reaches four times the largest from the mean
-    widest = np.finfo(float).max / 4
+    xx = np.einsum("bij,bij->bi", xc, xc)
+    reach = xx.max(axis=1, initial=0.0)
     # spreads below this take the factorised tile
     gaussian = isinstance(kernel, GaussianKernel) and not math.isfinite(kernel.support_radius)
     limit = _EXP_ARG_LIMIT * (kernel.tau * kernel.tau) if gaussian else 0.0
 
-    def side(factored: bool):
+    def side(g: list, factored: bool):
+        # every member's own arrays without a copy
+        xg, wg, xxg = (xc, w, xx) if len(g) == B else (xc[g], w[g], xx[g])
         # at least two columns, zeros after the first p: a k=1 matmul is slower
         # than an elementwise outer product, a k=2 one faster, and r c + 0 0 = r c
-        cols, V, a = np.zeros((n, max(p, 2))), np.empty((n, p + 1)), None
+        cols, V, a = np.zeros((len(g), n, max(p, 2))), np.empty((len(g), n, p + 1)), None
         if factored:
             # rows times columns of the cross term give 2 u.v with u = x / (sqrt 2 tau)
-            np.multiply(xc, 2.0 / (math.sqrt(2.0) * kernel.tau), out=cols[:, :p])
-            a = np.exp(xx / (-2.0 * kernel.tau * kernel.tau))
+            np.multiply(xg, 2.0 / (math.sqrt(2.0) * kernel.tau), out=cols[:, :, :p])
+            a = np.exp(xxg / (-2.0 * kernel.tau * kernel.tau))
         else:
-            np.multiply(xc, -2.0, out=cols[:, :p])
-        V[:, p] = w if a is None else a * w
-        V[:, :p] = V[:, p, None] * xc
-        return cols, V, a
+            np.multiply(xg, -2.0, out=cols[:, :, :p])
+        V[:, :, p] = wg if a is None else a * wg
+        V[:, :, :p] = V[:, :, p, None] * xg
+        return cols.transpose(0, 2, 1), V, a
 
-    # no side for a cloud too wide to sweep: its products could overflow, and
-    # every sweep raises first
-    data_side = side(reach < limit) if reach <= widest else None
+    # the data side of each path, for the members whose data alone take it;
+    # none for a member too wide to sweep: its products could overflow, and
+    # every sweep fails it first
+    reaches = reach.tolist()
+    data_paths = _paths(reaches, limit)
+    data_sides = {path: (g, side(g, path)) for path, g in data_paths.items() if path is not None}
 
-    def sweep(targets: Optional[np.ndarray]) -> np.ndarray:
+    def sweep(targets: Optional[np.ndarray]):
         blur = targets is None
         tc = xc if blur else targets - mu
-        tt = xx if blur else np.einsum("ij,ij->i", tc, tc)
-        spread = reach if blur else max(reach, tt.max(initial=0.0))
-        if not spread <= widest:
-            raise ValueError("the cloud is too wide: its pairwise squared distances overflow")
-        factored = spread < limit
-        # targets that push the spread to the limit need the generic side
-        cols, V, a = side(False) if reach < limit <= spread else data_side
-        m = tc.shape[0]
-        rows = np.zeros((m, cols.shape[1]))
-        rows[:, :p] = tc / (math.sqrt(2.0) * kernel.tau) if factored else tc
-
-        def tile(i0: int, i1: int, j0: int, j1: int, buf: np.ndarray) -> np.ndarray:
-            # contiguous head of the flat buffer: a strided view of a full-size
-            # tile doubles the cost of the ufuncs on small tiles
-            z = buf[: (i1 - i0) * (j1 - j0)].reshape(i1 - i0, j1 - j0)
-            np.matmul(rows[i0:i1], cols[j0:j1].T, out=z)
-            if factored:
-                return np.exp(z, out=z)
-            z += tt[i0:i1, None]
-            z += xx[None, j0:j1]
-            np.maximum(z, 0.0, out=z)
-            if blur and i0 == j0:
-                np.fill_diagonal(z, 0.0)
-            kernel._fill_sq(z)
-            return z
-
-        def stripe(s: int) -> np.ndarray:
-            acc = np.zeros((m, p + 1))
-            buf = np.empty(_TILE_ROWS * max(_TILE_ROWS, _TILE_COLS))
-            for i0 in range(s * _TILE_ROWS, m, _STRIPES * _TILE_ROWS):
-                i1 = min(i0 + _TILE_ROWS, m)
-                if blur:
-                    acc[i0:i1] += tile(i0, i1, i0, i1, buf) @ V[i0:i1]
-                for j0 in range(i1 if blur else 0, n, _TILE_COLS):
-                    j1 = min(j0 + _TILE_COLS, n)
-                    F = tile(i0, i1, j0, j1, buf)
-                    acc[i0:i1] += F @ V[j0:j1]
-                    if blur:
-                        acc[j0:j1] += F.T @ V[i0:i1]
-            return acc
-
-        stripes = range(min(_STRIPES, max(1, -(-m // _TILE_ROWS))))
-        workers = min(len(stripes), _stripe_workers()) if m * n >= _THREADED_PAIRS else 1
-        if workers == 1:
-            # no thread pool: it costs more than a whole small step
-            parts = [stripe(s) for s in stripes]
+        tt = xx if blur else np.einsum("bij,bij->bi", tc, tc)
+        if blur:
+            paths = data_paths
         else:
-            # imported here, not at module level: concurrent.futures loads
-            # logging, a startup cost for every import of the package
-            from concurrent.futures import ThreadPoolExecutor
+            paths = _paths(list(map(max, reaches, tt.max(axis=1, initial=0.0).tolist())), limit)
+        m = tc.shape[1]
+        errors, new = {}, None
+        for factored, g in paths.items():
+            if factored is None:
+                for b in g:
+                    errors[b] = ValueError(
+                        "the cloud is too wide: its pairwise squared distances overflow"
+                    )
+                continue
+            cached = data_sides.get(factored)
+            # targets that push the spread to the limit need the generic side
+            colsT, V, a = cached[1] if cached is not None and cached[0] == g else side(g, factored)
+            G = len(g)
+            tg, ttg, xxg, mug = (tc, tt, xx, mu) if G == B else (tc[g], tt[g], xx[g], mu[g])
+            rows = np.zeros((G, m, colsT.shape[1]))
+            rows[:, :, :p] = tg / (math.sqrt(2.0) * kernel.tau) if factored else tg
 
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                parts = list(pool.map(stripe, stripes))
-        acc = parts[0]
-        for part in parts[1:]:
-            acc += part
-        if factored:
-            acc *= (a if blur else np.exp(tt / (-2.0 * kernel.tau * kernel.tau)))[:, None]
-        zero = np.flatnonzero(acc[:, p] == 0.0)
-        if zero.size:
-            raise IsolatedCenterError(int(zero[0]))
-        return acc[:, :p] / acc[:, p, None] + mu
+            def tile(i0: int, i1: int, j0: int, j1: int, buf: np.ndarray) -> np.ndarray:
+                # contiguous head of the flat buffer: a strided view of a full-size
+                # tile doubles the cost of the ufuncs on small tiles
+                z = buf[: G * (i1 - i0) * (j1 - j0)].reshape(G, i1 - i0, j1 - j0)
+                np.matmul(rows[:, i0:i1], colsT[:, :, j0:j1], out=z)
+                if factored:
+                    return np.exp(z, out=z)
+                z += ttg[:, i0:i1, None]
+                z += xxg[:, None, j0:j1]
+                np.maximum(z, 0.0, out=z)
+                if blur and i0 == j0:
+                    # the self pairs, on every member's diagonal
+                    z.reshape(G, -1)[:, :: i1 - i0 + 1] = 0.0
+                kernel._fill_sq(z)
+                return z
+
+            def stripe(s: int) -> np.ndarray:
+                acc = np.zeros((G, m, p + 1))
+                buf = np.empty(G * min(m, _TILE_ROWS) * min(n, _TILE_COLS))
+                for i0 in range(s * _TILE_ROWS, m, _STRIPES * _TILE_ROWS):
+                    i1 = min(i0 + _TILE_ROWS, m)
+                    if blur:
+                        acc[:, i0:i1] += tile(i0, i1, i0, i1, buf) @ V[:, i0:i1]
+                    for j0 in range(i1 if blur else 0, n, _TILE_COLS):
+                        j1 = min(j0 + _TILE_COLS, n)
+                        F = tile(i0, i1, j0, j1, buf)
+                        acc[:, i0:i1] += F @ V[:, j0:j1]
+                        if blur:
+                            acc[:, j0:j1] += F.transpose(0, 2, 1) @ V[:, i0:i1]
+                return acc
+
+            stripes = range(min(_STRIPES, max(1, -(-m // _TILE_ROWS))))
+            workers = min(len(stripes), _stripe_workers()) if G * m * n >= _THREADED_PAIRS else 1
+            if workers == 1:
+                # no thread pool: it costs more than a whole small step
+                parts = [stripe(s) for s in stripes]
+            else:
+                # imported here, not at module level: concurrent.futures loads
+                # logging, a startup cost for every import of the package
+                from concurrent.futures import ThreadPoolExecutor
+
+                with ThreadPoolExecutor(max_workers=workers) as pool:
+                    parts = list(pool.map(stripe, stripes))
+            acc = parts[0]
+            for part in parts[1:]:
+                acc += part
+            if factored:
+                acc *= (a if blur else np.exp(ttg / (-2.0 * kernel.tau * kernel.tau)))[:, :, None]
+            den = acc[:, :, p]
+            if not den.all():
+                for k in np.flatnonzero(~den.all(axis=1)).tolist():
+                    errors[g[k]] = IsolatedCenterError(int(np.argmin(den[k] != 0.0)))
+                # no division by zero: the failed members' rows go unused
+                den[den == 0.0] = 1.0
+            moved = acc[:, :, :p] / den[:, :, None] + mug
+            if G == B:
+                return moved, errors
+            if new is None:
+                new = np.empty(tc.shape)
+            new[g] = moved
+        # no path: every member failed
+        return (np.empty(tc.shape) if new is None else new), errors
 
     return sweep
+
+
+def _raise_first(errors: dict) -> None:
+    """Raise the error of the lowest-numbered member, if any failed: the one
+    a loop over the members in order meets first."""
+    if errors:
+        raise errors[min(errors)]
 
 
 def blurring_step(points: PointSet, kernel: Kernel) -> PointSet:
@@ -385,7 +454,9 @@ def blurring_step(points: PointSet, kernel: Kernel) -> PointSet:
     influence exactly 1, so denominators are always positive.
     """
     x, w = points.positions, points.weights
-    return PointSet(_plan(x, _scaled_weights(w), kernel)(None), w.copy())
+    new, errors = _plan(x[None], _scaled_weights(w)[None], kernel)(None)
+    _raise_first(errors)
+    return PointSet(new[0], w.copy())
 
 
 def nonblurring_step(centers: np.ndarray, data: PointSet, kernel: Kernel) -> np.ndarray:
@@ -399,7 +470,9 @@ def nonblurring_step(centers: np.ndarray, data: PointSet, kernel: Kernel) -> np.
         c = c[:, None]
     if c.shape[1] != data.dimension:
         raise ValueError("centers and data must share a dimension")
-    return _plan(data.positions, _scaled_weights(data.weights), kernel)(c)
+    new, errors = _plan(data.positions[None], _scaled_weights(data.weights)[None], kernel)(c[None])
+    _raise_first(errors)
+    return new[0]
 
 
 def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -424,9 +497,24 @@ def _max_pairwise_distance(x: np.ndarray) -> float:
     distance from the point farthest out; so only rows with
     r >= lower - max r are compared pairwise. The slack covers the
     rounding of r, lower and D, which scales with max r and p, and
-    underflow of the squares."""
+    underflow of the squares.
+
+    A cloud whose squared distances overflow is measured again scaled by
+    the power of two that brings its largest |coordinate| into [0.5, 1),
+    exactly for every coordinate that stays a normal double, and the
+    distance is scaled back."""
+    d = _diameter(x)
+    if math.isfinite(d):
+        return d
+    e = math.frexp(float(np.abs(x).max()))[1]
+    return math.ldexp(_diameter(np.ldexp(x, -e)), e)
+
+
+# a decorator, not a with block: it costs half as much per call
+@np.errstate(over="ignore", invalid="ignore")
+def _diameter(x: np.ndarray) -> float:
     fi = np.finfo(float)
-    r = np.sqrt(_sq_dists(x, _mean(x)[None])[:, 0])
+    r = np.sqrt(_sq_dists(x, _mean(x))[:, 0])
     far = int(np.argmax(r))
     best = float(_sq_dists(x[far, None], x).max())
     slack = (x.shape[1] + 2) * (8.0 * fi.eps * r[far] + math.sqrt(fi.tiny))
@@ -452,6 +540,78 @@ def _cloud_stds(x: np.ndarray) -> np.ndarray:
     return stds
 
 
+def _batch_size(n: int) -> int:
+    """How many runs on clouds of n points step as one batch: at most
+    ``_BATCH``, and few enough that a stripe's stack of one tile per member
+    stays within ``_BATCH_BYTES``."""
+    tile = 8 * min(n, _TILE_ROWS) * min(n, _TILE_COLS)
+    return max(1, min(_BATCH, _BATCH_BYTES // tile))
+
+
+def _iterate(x, w, kernel, data, stop, max_iterations, record=None):
+    """Mean-shift runs of a stack of B members, each until its largest
+    per-point displacement drops below ``stop`` or ``max_iterations`` steps
+    are taken.
+
+    Blurring (``data`` None) moves the clouds x (B, m, p), whose weights
+    are w (B, m), with a plan of the moving clouds each step. Nonblurring
+    moves the centres x against the fixed clouds data (B, n, p), whose
+    weights are w (B, n), with one plan of the data, built again only when
+    members leave. A member leaves the batch when it converges, reaches the
+    cap or fails, and gets bitwise what it would get alone. ``record(disp,
+    x)``, for a batch of one, sees the input once the first step has
+    succeeded, then each step's displacement and positions.
+
+    Returns the final positions (B, m, p), the iterations (B,) and the
+    converged flags (B,) of every member, and a dict of the failed members
+    with their errors; a failed member's other entries mean nothing.
+    """
+    blurring = data is None
+    final = x.copy()
+    iterations = np.zeros(x.shape[0], dtype=int)
+    converged = np.zeros(x.shape[0], dtype=bool)
+    errors = {}
+    active = list(range(x.shape[0]))
+    sweep = None if blurring else _plan(data, w, kernel)
+
+    def keep_only(keep: list) -> None:
+        nonlocal x, w, data, sweep, active
+        x, w, active = x[keep], w[keep], [active[b] for b in keep]
+        if not blurring and keep:
+            data = data[keep]
+            sweep = _plan(data, w, kernel)
+
+    for t in range(1, max_iterations + 1):
+        if not active:
+            break
+        new, failed = _plan(x, w, kernel)(None) if blurring else sweep(x)
+        if failed:
+            for b, exc in failed.items():
+                errors[active[b]] = exc
+            keep = [b for b in range(len(active)) if b not in failed]
+            new = new[keep]
+            keep_only(keep)
+            if not active:
+                break
+        if record is not None and t == 1:
+            # only now: the first step rejects a cloud too wide to measure
+            # before its radius and stds overflow
+            record(math.nan, x[0])
+        step = new - x
+        disps = np.sqrt(np.einsum("bij,bij->bi", step, step).max(axis=1)).tolist()
+        x = new
+        if record is not None:
+            record(disps[0], x[0])
+        capped = t == max_iterations
+        if capped or min(disps) < stop:
+            done = [d < stop for d in disps]
+            for b, member in enumerate(active):
+                if capped or done[b]:
+                    final[member], iterations[member], converged[member] = x[b], t, done[b]
+            keep_only([] if capped else [b for b, d in enumerate(done) if not d])
+    return final, iterations, converged, errors
+
+
 def run(points: PointSet, config: RunConfig, data: Optional[PointSet] = None):
     """Iterate until the largest per-point displacement drops below
     ``config.stop_displacement`` or ``config.max_iterations`` is exhausted.
@@ -462,7 +622,8 @@ def run(points: PointSet, config: RunConfig, data: Optional[PointSet] = None):
 
     Returns (final PointSet, IterationTrace). Exhausting the iteration
     budget is not an error; the trace's ``converged`` flag reports it. The
-    inputs are checked here once; the steps run on bare arrays.
+    inputs are checked here once; the steps run on bare arrays, as a batch
+    of one run whose trace is recorded.
     """
     blurring = config.mode == "blurring"
     if blurring and data is not None:
@@ -470,47 +631,39 @@ def run(points: PointSet, config: RunConfig, data: Optional[PointSet] = None):
     fixed = points if data is None else data
     if fixed.dimension != points.dimension:
         raise ValueError("centers and data must share a dimension")
-    x = points.positions.copy()
-    w = _scaled_weights(fixed.weights)
-    # a nonblurring run sweeps one plan of its fixed data, a blurring run a
-    # new plan of the moving cloud each step
-    sweep = None if blurring else _plan(fixed.positions, w, config.kernel)
     disps, radii, stds = [], [], []
     positions = [] if config.trace_level == "full" else None
 
     def record(disp: float, x: np.ndarray) -> None:
-        if config.trace_level != "none":
-            disps.append(disp)
-            radii.append(_max_pairwise_distance(x))
-            stds.append(_cloud_stds(x))
+        disps.append(disp)
+        radii.append(_max_pairwise_distance(x))
+        stds.append(_cloud_stds(x))
         if positions is not None:
             positions.append(x.copy())
 
-    converged = False
-    for t in range(1, config.max_iterations + 1):
-        new_x = _plan(x, w, config.kernel)(None) if blurring else sweep(x)
-        if t == 1:
-            # only now: the first step rejects a cloud too wide to measure
-            # before its radius and stds overflow
-            record(math.nan, x)
-        step = new_x - x
-        disp = float(np.sqrt(np.max(np.einsum("ij,ij->i", step, step))))
-        x = new_x
-        record(disp, x)
-        if disp < config.stop_displacement:
-            converged = True
-            break
+    final, iterations, converged, errors = _iterate(
+        points.positions[None],
+        _scaled_weights(fixed.weights)[None],
+        config.kernel,
+        None if blurring else fixed.positions[None],
+        config.stop_displacement,
+        config.max_iterations,
+        None if config.trace_level == "none" else record,
+    )
+    _raise_first(errors)
     trace = IterationTrace(
         max_displacements=np.array(disps),
         radii=np.array(radii),
-        stds=np.array(stds).reshape(len(stds), x.shape[1]),
+        stds=np.array(stds).reshape(len(stds), points.dimension),
         positions=positions,
-        converged=converged,
-        iterations=t,
+        converged=bool(converged[0]),
+        iterations=int(iterations[0]),
     )
-    return PointSet(x, points.weights.copy()), trace
+    return PointSet(final[0], points.weights.copy()), trace
 
 
+# squared distances that overflow to inf are past any tolerance, as they should be
+@np.errstate(over="ignore")
 def _component_labels(x: np.ndarray, tol: float) -> np.ndarray:
     """Connected components of the 'within tol of each other' graph
     (single linkage), labeled in order of each component's first point.

@@ -11,8 +11,9 @@ Three experiment kinds over 1-d Gaussian data:
   modes on one sample, showing the collapse speed difference.
 
 Every replication draws from its own RNG substream derived from the master
-seed and the replication index, so reports are bit-identical regardless of
-how replications are scheduled.
+seed and the replication index, and the engine steps a batch of
+replications exactly as it steps each alone, so reports are bit-identical
+regardless of how replications are scheduled or batched.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .engine import (
     majority_mode,
     run,
 )
-from .engine import _as_count
+from .engine import _as_count, _batch_size, _iterate, _raise_first, _scaled_weights
 from .kernels import GaussianKernel
 
 __all__ = [
@@ -63,6 +64,9 @@ class TooFewConvergedError(RuntimeError):
             "at least two are needed to summarize"
         )
 
+
+# the modes of a comparison, in the order a replication runs them
+_MODES = ("blurring", "nonblurring")
 
 # Sentinel: resolve a setting per experiment kind (see ExperimentConfig).
 AUTO = "auto"
@@ -200,6 +204,11 @@ class ExperimentReport:
     converged; replication_indices holds their original indices, so raw
     values stay attributable after exclusions; excluded_replications counts
     the ones that did not converge and were left out of every aggregate.
+
+    iterations and converged map each mode to an array over every
+    replication: the iterations its run of that mode took, and whether it
+    converged. Nonblurring does not run after a blurring run that did not
+    converge; there its iterations read 0 and converged False.
     """
 
     config: ExperimentConfig
@@ -211,6 +220,8 @@ class ExperimentReport:
     replication_indices: np.ndarray = field(
         default_factory=lambda: np.empty(0, dtype=int)
     )
+    iterations: dict = field(default_factory=dict)
+    converged: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -277,23 +288,47 @@ def _run_comparison(config: ExperimentConfig) -> ExperimentReport:
     """Shared replication loop: draw the kind's sample, run both modes on
     that sample, record the three location statistics. A replication whose
     engine run exhausts the iteration budget is counted and excluded; the
-    modes run in order and stop at the first that does."""
+    modes run in order and stop at the first that does.
+
+    Replications run in batches: blurring on every replication of the
+    batch, then nonblurring on those whose blurring converged. Each gets
+    bitwise what it gets run alone, and a failure raises the error that
+    running the replications one at a time would meet first."""
+    kind = _KINDS[config.kind]
+    kernel = config.kernel()
+    reps = config.replications
+    iterations = {mode: np.zeros(reps, dtype=int) for mode in _MODES}
+    converged = {mode: np.zeros(reps, dtype=bool) for mode in _MODES}
     values = {"sample_mean": [], "blurring": [], "nonblurring": []}
     kept = []
-    for rep in range(config.replications):
-        points = _KINDS[config.kind].sample(config.n_points, replication_rng(config.seed, rep))
-        finals = {}
-        for mode in ("blurring", "nonblurring"):
-            final, trace = run(points, config.engine_config(mode))
-            if not trace.converged:
-                break
-            finals[mode] = final
-        else:
-            kept.append(rep)
-            values["sample_mean"].append(float(points.positions[:, 0].mean()))
-            for mode, final in finals.items():
-                centre = majority_mode(extract_clusters(final, config.merge_tolerance))
-                values[mode].append(float(centre[0]))
+    size = _batch_size(config.n_points)
+    for start in range(0, reps, size):
+        batch = np.arange(start, min(start + size, reps))
+        samples = [kind.sample(config.n_points, replication_rng(config.seed, r)) for r in batch]
+        x = np.stack([s.positions for s in samples])
+        w = np.stack([_scaled_weights(s.weights) for s in samples])
+        finals, errors = {}, {}
+        go = np.arange(batch.size)
+        for mode in _MODES:
+            final, its, conv, failed = _iterate(
+                x[go], w[go], kernel, None if mode == "blurring" else x[go],
+                config.stop_displacement, config.max_iterations,
+            )
+            iterations[mode][batch[go]] = its
+            converged[mode][batch[go]] = conv
+            finals[mode] = dict(zip(go.tolist(), final))
+            errors.update((int(go[b]), exc) for b, exc in failed.items())
+            # nonblurring runs where blurring converged
+            go = go[conv]
+        _raise_first(errors)
+        for b, r in enumerate(batch.tolist()):
+            if converged["blurring"][r] and converged["nonblurring"][r]:
+                kept.append(r)
+                values["sample_mean"].append(float(samples[b].positions[:, 0].mean()))
+                for mode in _MODES:
+                    final = PointSet(finals[mode][b], samples[b].weights)
+                    centre = majority_mode(extract_clusters(final, config.merge_tolerance))
+                    values[mode].append(float(centre[0]))
     if len(kept) < 2:
         raise TooFewConvergedError(len(kept), config.replications)
     values = {name: np.array(v) for name, v in values.items()}
@@ -305,6 +340,8 @@ def _run_comparison(config: ExperimentConfig) -> ExperimentReport:
         excluded_replications=config.replications - len(kept),
         values=values,
         replication_indices=np.array(kept, dtype=int),
+        iterations=iterations,
+        converged=converged,
     )
 
 

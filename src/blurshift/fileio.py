@@ -8,10 +8,12 @@ bit.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import json
 import math
+import os
 
 import numpy as np
 
@@ -56,13 +58,52 @@ def _fmt(value) -> str:
     return f"{float(value):.17g}"
 
 
-def _open_output(path, newline=None):
+def _open_output(path, newline=None, mode="w"):
     """``path`` opened for writing text; an OSError, such as a missing
     directory or a directory at the path, becomes an UnwritableOutputError."""
     try:
-        return open(path, "w", newline=newline)
+        return open(path, mode, newline=newline)
     except OSError as exc:
         raise UnwritableOutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _stage(path) -> tuple:
+    """(target, temp): the file that ``path`` names, through any symlink,
+    and a new empty file beside it to write the content into, made after
+    checking that the target can be replaced: a directory there cannot be,
+    and a file there must open for appending. Raises
+    UnwritableOutputError, naming ``path``, if either fails."""
+    target = os.path.realpath(path)
+    if os.path.isdir(target):
+        raise UnwritableOutputError(f"cannot write {path}: Is a directory")
+    if os.path.exists(target):
+        _open_output(path, mode="a").close()
+    directory, name = os.path.split(target)
+    temp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
+    try:
+        open(temp, "x").close()
+    except OSError as exc:
+        raise UnwritableOutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    return target, temp
+
+
+@contextlib.contextmanager
+def _staged_outputs(*paths):
+    """Stage every named output before any work, so that one which cannot be
+    written fails first. Yields the temporary path to write each output to
+    (None for an output not named). When the block succeeds, each moves into
+    place with ``os.replace``; when it fails, none does, and every temporary
+    file is removed, so a failed command leaves no output behind."""
+    staged = []
+    try:
+        staged.extend(None if path is None else _stage(path) for path in paths)
+        yield [None if s is None else s[1] for s in staged]
+        for target, temp in filter(None, staged):
+            os.replace(temp, target)
+    finally:
+        for _, temp in filter(None, staged):
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(temp)
 
 
 def _write_csv(path, header, rows) -> None:
@@ -201,10 +242,15 @@ def config_dict(config) -> dict:
 
 def write_experiment_report_json(path, report: ExperimentReport) -> None:
     """Aggregate experiment report: resolved config, one SummaryStat per
-    statistic, and the exclusion accounting."""
+    statistic, the exclusion accounting, and the median and largest
+    iteration count of each mode over the replications that ran it."""
     excluded = sorted(
         set(range(report.config.replications)) - set(report.replication_indices.tolist())
     )
+    iterations = {}
+    for mode, counts in report.iterations.items():
+        ran = counts[counts > 0]
+        iterations[mode] = {"median": float(np.median(ran)), "max": int(ran.max())}
     payload = {
         "config": config_dict(report.config),
         "statistics": {
@@ -213,6 +259,7 @@ def write_experiment_report_json(path, report: ExperimentReport) -> None:
         },
         "excluded_replications": report.excluded_replications,
         "excluded_indices": excluded,
+        "iterations": iterations,
     }
     _write_json(path, payload)
 

@@ -490,6 +490,64 @@ class TestExperiment:
         assert len(rows) == 1 + 3 * kept
         assert echo["config"]["replications"] == 12
 
+    @pytest.mark.parametrize("kind", ["efficiency", "convergence-rate"])
+    @pytest.mark.parametrize("bad", ["--out", "--emit-csv"])
+    def test_unwritable_output_fails_before_any_replication(
+        self, capsys, tmp_path, monkeypatch, kind, bad
+    ):
+        def engine_called(*args, **kwargs):
+            raise AssertionError("the engine ran")
+
+        monkeypatch.setattr(experiments, "_iterate", engine_called)
+        monkeypatch.setattr(experiments, "run", engine_called)
+        paths = {"--out": tmp_path / "rep.json", "--emit-csv": tmp_path / "vals.csv"}
+        paths[bad] = tmp_path / "missing" / "x.out"
+        code, echo, err = run_cli(
+            capsys, "experiment", "--kind", kind, "--tau", "1", "--reps",
+            "1" if kind == "convergence-rate" else "2",
+            *(str(part) for flag, path in paths.items() for part in (flag, path)),
+        )
+        assert code == 1 and echo is None
+        assert err["error"]["code"] == "unwritable-output"
+        assert str(paths[bad]) in err["error"]["message"]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_experiment_leaves_no_output(self, capsys, tmp_path, monkeypatch):
+        def engine_failed(*args, **kwargs):
+            raise MemoryError("no room")
+
+        monkeypatch.setattr(experiments, "_iterate", engine_failed)
+        code, echo, err = run_cli(
+            capsys, "experiment", "--kind", "efficiency", "--tau", "1", "--reps", "2",
+            "--out", str(tmp_path / "rep.json"), "--emit-csv", str(tmp_path / "vals.csv"),
+        )
+        assert code == 1 and echo is None
+        assert err["error"]["code"] == "internal-error"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_outputs_replace_older_files_and_leave_no_staging(self, capsys, tmp_path):
+        out, csv_out = tmp_path / "rep.json", tmp_path / "vals.csv"
+        out.write_text("old")
+        # an output named through a symlink is written to the symlink's target
+        (tmp_path / "target.csv").write_text("old")
+        csv_out.symlink_to("target.csv")
+        argv = ["experiment", "--kind", "efficiency", "--tau", "1", "--reps", "3",
+                "--out", str(out), "--emit-csv", str(csv_out)]
+        assert run_cli(capsys, *argv)[0] == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["rep.json", "target.csv", "vals.csv"]
+        assert csv_out.is_symlink()
+        assert csv_out.read_text().startswith("statistic,replication,value")
+        report = json.loads(out.read_text())
+        assert report["statistics"]["blurring"]["count"] == 3
+        # the median and largest iterations of each mode, over the runs it made
+        iterations = experiments.run_efficiency(
+            experiments.ExperimentConfig(kind="efficiency", tau=1.0, replications=3)
+        ).iterations
+        for mode, counts in iterations.items():
+            assert report["iterations"][mode] == {
+                "median": float(np.median(counts)), "max": int(counts.max())
+            }
+
     def test_reports_carry_no_workers_key(self, capsys, tmp_path):
         for kind, reps in (("efficiency", "2"), ("convergence-rate", "1")):
             out = tmp_path / f"{kind}.json"

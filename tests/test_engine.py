@@ -626,6 +626,16 @@ class TestRun:
             with pytest.raises(ValueError, match="too wide"):
                 run(PointSet(x), RunConfig(kernel=GaussianKernel(1.0), mode=mode))
 
+    def test_half_shifted_near_the_largest_double_is_measured(self):
+        # the squared distance overflows, the distance itself does not: one
+        # ulp of 1e307, and a leaked RuntimeWarning fails the test
+        x = np.full((200, 1), 1e307)
+        x[100:] += 1e291
+        assert engine._max_pairwise_distance(x) == 1.2474001934592e291
+        clusters = extract_clusters(PointSet(x))
+        assert clusters.sizes.tolist() == [100, 100]
+        assert clusters.centers[:, 0].tolist() == [1e307, 1e307 + 1e291]
+
     def test_nonblurring_with_separate_centers(self):
         rng = np.random.default_rng(8)
         data = PointSet(rng.normal(size=(60, 1)))
@@ -638,6 +648,117 @@ class TestRun:
         assert trace.converged
         # both centers settle at the single mode of one gaussian blob
         assert abs(final.positions[0, 0] - final.positions[1, 0]) < 1e-7
+
+
+def run_batch(starts, kernel, mode, data=None, max_iterations=60):
+    """``engine._iterate`` on a stack of runs: each member's start, and in
+    nonblurring its fixed cloud (the start when ``data`` is None)."""
+    fixed = starts if data is None else data
+    return engine._iterate(
+        np.stack([s.positions for s in starts]),
+        np.stack([engine._scaled_weights(s.weights) for s in fixed]),
+        kernel,
+        None if mode == "blurring" else np.stack([s.positions for s in fixed]),
+        engine.DEFAULT_STOP_DISPLACEMENT,
+        max_iterations,
+    )
+
+
+def assert_members_run_alone(starts, kernel, mode, data=None, max_iterations=60):
+    """Every member of a batch gets bitwise what ``run`` gives it alone."""
+    final, iterations, converged, errors = run_batch(starts, kernel, mode, data, max_iterations)
+    assert not errors
+    cfg = RunConfig(kernel=kernel, mode=mode, max_iterations=max_iterations, trace_level="none")
+    for b, start in enumerate(starts):
+        alone, trace = run(start, cfg, data=None if data is None else data[b])
+        assert final[b].tobytes() == alone.positions.tobytes(), b
+        assert (iterations[b], converged[b]) == (trace.iterations, trace.converged), b
+    return iterations, converged
+
+
+class TestBatch:
+    """Runs stepped together as one batch, each member on its own path."""
+
+    def test_members_on_both_paths_and_switching_equal_their_runs(self):
+        # tau 1: the factorised tile takes squared spreads below 700; n = 300
+        # spans two row blocks, so a blurring step takes three tiles
+        rng = np.random.default_rng(66)
+        kernel = GaussianKernel(1.0)
+        narrow = rng.normal(0.0, 1.0, (300, 2))
+        # two blobs 60 apart: a spread of 900 keeps the generic tile
+        wide = np.vstack([rng.normal(-30.0, 0.5, (150, 2)), rng.normal(30.0, 0.5, (150, 2))])
+        # spread 28^2 at first; its edges contract below sqrt(700) in a few
+        # steps, so it moves from the generic tile to the factorised
+        edges = np.column_stack([np.linspace(-28.0, 28.0, 300), rng.normal(0.0, 0.2, 300)])
+        # a lone point 27.2 out, while the tail next to the cluster collapses
+        # into it: the mean moves away from the lone point, and the spread
+        # grows from 698.6 past 700 at the second step, which pushes this
+        # member onto the generic tile mid-run
+        lone = np.random.default_rng(69)
+        pushed = np.vstack([
+            lone.normal(0.0, 0.3, (180, 2)),
+            np.column_stack([lone.uniform(0.5, 3.0, 119), lone.normal(0.0, 0.3, 119)]),
+            [[27.2, 0.0]],
+        ])
+        clouds = [PointSet(c + 5.0, rng.uniform(0.5, 2.0, 300)) for c in (narrow, wide, edges)]
+        clouds.append(PointSet(pushed + 5.0))
+        spreads = [
+            float(np.max(np.sum((c - c.mean(axis=0)) ** 2, axis=1)))
+            for c in (narrow, wide, edges, pushed)
+        ]
+        assert spreads[0] < 700.0 < min(spreads[1:3]) and spreads[3] < 700.0
+        tiles = tiles_seen(kernel, lambda: run_batch(clouds, kernel, "blurring"))
+        # up to three members share a stack of generic tiles: the wide one,
+        # the edges while they are wide, and the pushed one once pushed
+        assert {len(z) for z, _ in tiles} == {1, 2, 3}
+        iterations, _ = assert_members_run_alone(clouds, kernel, "blurring")
+        # the edges take the generic tile for their first steps only, and the
+        # pushed member for all steps but its first
+        cfg = RunConfig(kernel=kernel, max_iterations=60)
+        assert 0 < len(tiles_seen(kernel, lambda: run(clouds[2], cfg))) < 3 * iterations[2]
+        assert len(tiles_seen(kernel, lambda: run(clouds[3], cfg))) == 3 * (iterations[3] - 1)
+        # nonblurring: centres on the data, and centres past the limit that
+        # the first step draws in, from the generic tile to the factorised
+        far = PointSet(narrow + [32.0, 5.0])
+        data = [clouds[0], clouds[1], clouds[0], clouds[2]]
+        starts = [clouds[0], clouds[1], far, clouds[2]]
+        assert_members_run_alone(starts, kernel, "nonblurring", data)
+
+    @pytest.mark.parametrize("mode, cap", [("blurring", 8), ("nonblurring", 80)])
+    def test_members_leave_as_they_converge_or_cap(self, mode, cap):
+        rng = np.random.default_rng(67)
+        kernel = GaussianKernel(0.5, support_radius=1.5)
+        starts = [PointSet(rng.normal(0.0, s, 40)) for s in (0.3, 1.0, 2.0, 0.5, 3.0, 1.5, 0.8)]
+        iterations, converged = assert_members_run_alone(starts, kernel, mode, max_iterations=cap)
+        # members left at different steps, and some at the cap
+        assert len(set(iterations.tolist())) > 2 and not converged.all() and converged.any()
+
+    def test_lowest_failing_member_raises(self):
+        # members 1 and 2 each have a centre beyond the support of every
+        # point: member 1's error, for its centre 2, is the one raised
+        kernel = GaussianKernel(1.0, support_radius=2.0)
+        near = PointSet(np.array([0.0, 1.0, 2.0]))
+        centres = [
+            PointSet(np.array(c)) for c in ([0.5, 1.5, 1.0], [0.5, 1.5, 9.0], [9.0, 1.0, 0.0])
+        ]
+        _, iterations, converged, errors = run_batch(centres, kernel, "nonblurring", [near] * 3)
+        assert sorted(errors) == [1, 2] and converged[0]
+        assert [errors[b].center_index for b in (1, 2)] == [2, 0]
+        with pytest.raises(IsolatedCenterError) as err:
+            engine._raise_first(errors)
+        assert err.value.center_index == 2
+        # a member too wide to sweep fails too, and first when it comes first
+        wide = PointSet(np.array([0.0, 1e160, 3e160]))
+        _, _, _, errors = run_batch(centres[::2], kernel, "nonblurring", [wide, near])
+        assert sorted(errors) == [0, 1]
+        with pytest.raises(ValueError, match="too wide"):
+            engine._raise_first(errors)
+
+    def test_batch_size_keeps_the_tile_stack_within_its_budget(self):
+        tile = 8 * engine._TILE_ROWS * engine._TILE_COLS
+        assert engine._batch_size(100) == engine._BATCH
+        assert engine._batch_size(5000) == engine._BATCH_BYTES // tile
+        assert engine._batch_size(5000) * tile <= engine._BATCH_BYTES
 
 
 class TestExtractClusters:

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from blurshift import cli, experiments, fileio
+from blurshift import cli, engine, fileio
 from blurshift.engine import (
     DEFAULT_MERGE_TOLERANCE,
     PointSet,
@@ -341,22 +341,21 @@ class TestRunEfficiency:
         assert rep.blurring.count + rep.excluded_replications == 60
         assert rep.values["blurring"].size == rep.blurring.count
 
-    def test_capped_blurring_skips_nonblurring(self, monkeypatch):
+    def test_capped_blurring_skips_nonblurring(self):
         # at this budget some replications cap in blurring, some only in
         # nonblurring, and some converge in both
         cfg = ExperimentConfig(
             kind="efficiency", tau=0.5, n_points=30, replications=12, seed=0,
             max_iterations=80,
         )
-        calls = []
-
-        def counted_run(points, config, data=None):
-            final, trace = run(points, config, data)
-            calls.append((config.mode, trace.converged))
-            return final, trace
-
-        monkeypatch.setattr(experiments, "run", counted_run)
         rep = run_efficiency(cfg)
+        # the runs each replication made, read from its per-mode record: a
+        # nonblurring run that did not happen has 0 iterations
+        calls = []
+        for r in range(cfg.replications):
+            for mode in ("blurring", "nonblurring"):
+                if rep.iterations[mode][r]:
+                    calls.append((mode, bool(rep.converged[mode][r])))
         # reference: both modes on every replication, excluded unless both converge
         want_calls, kept = [], []
         values = {"sample_mean": [], "blurring": [], "nonblurring": []}
@@ -365,8 +364,13 @@ class TestRunEfficiency:
             blur, blur_trace = run(points, cfg.engine_config("blurring"))
             fixed, fixed_trace = run(points, cfg.engine_config("nonblurring"))
             want_calls.append(("blurring", blur_trace.converged))
+            assert rep.iterations["blurring"][r] == blur_trace.iterations
             if blur_trace.converged:
                 want_calls.append(("nonblurring", fixed_trace.converged))
+                assert rep.iterations["nonblurring"][r] == fixed_trace.iterations
+            else:
+                assert rep.iterations["nonblurring"][r] == 0
+                assert not rep.converged["nonblurring"][r]
             if blur_trace.converged and fixed_trace.converged:
                 kept.append(r)
                 values["sample_mean"].append(float(points.positions[:, 0].mean()))
@@ -387,6 +391,49 @@ class TestRunEfficiency:
         )
         with pytest.raises(RuntimeError):
             run_efficiency(cfg)
+
+
+class TestBatches:
+    """Replications step through the engine in batches; a report is the
+    same bit for bit whatever the batch size."""
+
+    @pytest.mark.parametrize("kind", ["efficiency", "robustness"])
+    def test_reports_do_not_depend_on_the_batch_size(self, kind, monkeypatch):
+        # tau 0.5 at this budget caps some blurring and some nonblurring runs
+        cfg = ExperimentConfig(
+            kind=kind, tau=0.5, n_points=40, replications=20, seed=3, max_iterations=150,
+        )
+        runner = run_efficiency if kind == "efficiency" else run_robustness
+        reports = {}
+        for size in (1, 7, 64):
+            monkeypatch.setattr(engine, "_BATCH", size)
+            reports[size] = runner(cfg)
+        one = reports[1]
+        for rep in reports.values():
+            assert rep.excluded_replications == one.excluded_replications
+            assert rep.replication_indices.tolist() == one.replication_indices.tolist()
+            for name in ("sample_mean", "blurring", "nonblurring"):
+                assert rep.values[name].tobytes() == one.values[name].tobytes(), name
+                assert getattr(rep, name) == getattr(one, name)
+            for mode in ("blurring", "nonblurring"):
+                assert rep.iterations[mode].tolist() == one.iterations[mode].tolist()
+                assert rep.converged[mode].tolist() == one.converged[mode].tolist()
+        # and every replication's runs are the runs it gets alone
+        sample = _standard_sample if kind == "efficiency" else _contaminated_sample
+        capped = 0
+        for r in range(cfg.replications):
+            points = sample(cfg.n_points, replication_rng(cfg.seed, r))
+            for mode in ("blurring", "nonblurring"):
+                if one.iterations[mode][r]:
+                    final, trace = run(points, cfg.engine_config(mode))
+                    assert one.iterations[mode][r] == trace.iterations
+                    assert one.converged[mode][r] == trace.converged
+                    capped += not trace.converged
+                    if r in one.replication_indices:
+                        k = one.replication_indices.tolist().index(r)
+                        centre = majority_mode(extract_clusters(final, cfg.merge_tolerance))
+                        assert one.values[mode][k] == centre[0]
+        assert capped and one.excluded_replications < cfg.replications - 2
 
 
 class TestRunRobustness:
