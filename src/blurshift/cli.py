@@ -265,21 +265,21 @@ def _cmd_experiment(args) -> None:
         merge_tolerance=AUTO if args.merge_tolerance is None else args.merge_tolerance,
     )
     # a replication table can take minutes: find an unwritable output first
-    with fileio._staged_outputs(args.out, args.emit_csv) as (out, values):
-        if kind == "convergence_rate":
-            report = run_convergence_rate(config)
-            fileio.write_convergence_report_json(out, report)
-            if values is not None:
-                fileio.write_convergence_csv(values, report)
-        else:
-            runner = run_efficiency if kind == "efficiency" else run_robustness
-            report = runner(config)
-            fileio.write_experiment_report_json(out, report)
-            if values is not None:
-                fileio.write_experiment_values_csv(values, report)
+    fileio._check_outputs(args.out, args.emit_csv)
     outputs = {"report": args.out}
-    if args.emit_csv is not None:
-        outputs["values"] = args.emit_csv
+    if kind == "convergence_rate":
+        report = run_convergence_rate(config)
+        fileio.write_convergence_report_json(args.out, report)
+        if args.emit_csv is not None:
+            fileio.write_convergence_csv(args.emit_csv, report)
+            outputs["values"] = args.emit_csv
+    else:
+        runner = run_efficiency if kind == "efficiency" else run_robustness
+        report = runner(config)
+        fileio.write_experiment_report_json(args.out, report)
+        if args.emit_csv is not None:
+            fileio.write_experiment_values_csv(args.emit_csv, report)
+            outputs["values"] = args.emit_csv
     _echo("experiment", fileio.config_dict(config), outputs)
 
 

@@ -27,8 +27,8 @@ One private loop steps a batch of runs: a nonblurring batch builds one plan
 of its fixed data and sweeps the centres with it every step, a blurring
 batch a plan of its moving clouds each step, and a member leaves when it
 converges, reaches the iteration cap or fails. ``run`` is the batch of one
-that records its trace; the Monte Carlo tables run their replications in
-batches of up to ``_BATCH``.
+that records its trace; the Monte Carlo tables run their replications on
+clouds of at most ``_TILE_ROWS`` points in batches of up to ``_BATCH``.
 
 Row blocks of the tiles are dealt round-robin to a fixed number of stripes.
 Each stripe sums its tiles in a fixed order into its own accumulator, and
@@ -90,8 +90,9 @@ _EXP_ARG_LIMIT = 700.0
 # largest squared spread from the mean that a sweep takes: a pairwise squared
 # distance reaches four times as much
 _WIDEST = np.finfo(float).max / 4
-# runs stepped together as one batch: at most this many, and few enough that
-# a stripe's stack of tiles, one per run, stays within the byte budget
+# runs on clouds of at most _TILE_ROWS points stepped together as one batch:
+# at most this many, and few enough that the stack of their tiles, one per
+# run, stays within the byte budget
 _BATCH = 64
 _BATCH_BYTES = 2**23
 
@@ -269,12 +270,16 @@ def _mean(x: np.ndarray, average=lambda v: np.add.reduce(v, axis=-2, keepdims=Tr
     return m
 
 
-def _paths(spreads: list, limit: float) -> dict:
-    """The members of each tile path, in order, by their squared spreads:
-    True for the factorised tile, below ``limit``, False for the generic
-    one, and None for the members too wide to sweep."""
+def _paths(spreads: np.ndarray, limit: float) -> dict:
+    """The members of each tile path, in order, by their squared spreads
+    (B,): True for the factorised tile, below ``limit``, False for the
+    generic one, and None for the members too wide to sweep."""
+    if spreads.shape[0] == 1:
+        # a batch of one, as every run is: nothing to group
+        s = float(spreads[0])
+        return {(s < limit if s <= _WIDEST else None): [0]}
     paths = {}
-    for b, s in enumerate(spreads):
+    for b, s in enumerate(spreads.tolist()):
         paths.setdefault(s < limit if s <= _WIDEST else None, []).append(b)
     return paths
 
@@ -344,8 +349,7 @@ def _plan(x: np.ndarray, w: np.ndarray, kernel: Kernel):
     # the data side of each path, for the members whose data alone take it;
     # none for a member too wide to sweep: its products could overflow, and
     # every sweep fails it first
-    reaches = reach.tolist()
-    data_paths = _paths(reaches, limit)
+    data_paths = _paths(reach, limit)
     data_sides = {path: (g, side(g, path)) for path, g in data_paths.items() if path is not None}
 
     def sweep(targets: Optional[np.ndarray]):
@@ -355,7 +359,7 @@ def _plan(x: np.ndarray, w: np.ndarray, kernel: Kernel):
         if blur:
             paths = data_paths
         else:
-            paths = _paths(list(map(max, reaches, tt.max(axis=1, initial=0.0).tolist())), limit)
+            paths = _paths(np.maximum(reach, tt.max(axis=1, initial=0.0)), limit)
         m = tc.shape[1]
         errors, new = {}, None
         for factored, g in paths.items():
@@ -422,7 +426,8 @@ def _plan(x: np.ndarray, w: np.ndarray, kernel: Kernel):
             if factored:
                 acc *= (a if blur else np.exp(ttg / (-2.0 * kernel.tau * kernel.tau)))[:, :, None]
             den = acc[:, :, p]
-            if not den.all():
+            # count_nonzero, not den.all(): a third of the cost on a small step
+            if np.count_nonzero(den) < den.size:
                 for k in np.flatnonzero(~den.all(axis=1)).tolist():
                     errors[g[k]] = IsolatedCenterError(int(np.argmin(den[k] != 0.0)))
                 # no division by zero: the failed members' rows go unused
@@ -502,12 +507,15 @@ def _max_pairwise_distance(x: np.ndarray) -> float:
     A cloud whose squared distances overflow is measured again scaled by
     the power of two that brings its largest |coordinate| into [0.5, 1),
     exactly for every coordinate that stays a normal double, and the
-    distance is scaled back."""
+    distance is scaled back, inf if it is past the largest double."""
     d = _diameter(x)
     if math.isfinite(d):
         return d
     e = math.frexp(float(np.abs(x).max()))[1]
-    return math.ldexp(_diameter(np.ldexp(x, -e)), e)
+    try:
+        return math.ldexp(_diameter(np.ldexp(x, -e)), e)
+    except OverflowError:
+        return math.inf
 
 
 # a decorator, not a with block: it costs half as much per call
@@ -541,11 +549,16 @@ def _cloud_stds(x: np.ndarray) -> np.ndarray:
 
 
 def _batch_size(n: int) -> int:
-    """How many runs on clouds of n points step as one batch: at most
-    ``_BATCH``, and few enough that a stripe's stack of one tile per member
-    stays within ``_BATCH_BYTES``."""
-    tile = 8 * min(n, _TILE_ROWS) * min(n, _TILE_COLS)
-    return max(1, min(_BATCH, _BATCH_BYTES // tile))
+    """How many runs on clouds of n points step as one batch. A batch saves
+    the fixed cost of numpy's calls, once per batch instead of once per
+    member, and that pays only while one tile holds a member's whole cloud:
+    a cloud of more than ``_TILE_ROWS`` points steps alone, since its tile
+    stack would leave the cache that one tile was sized for. A smaller
+    cloud steps with at most ``_BATCH`` - 1 others, and few enough that
+    the stack of one tile per member stays within ``_BATCH_BYTES``."""
+    if n > _TILE_ROWS:
+        return 1
+    return min(_BATCH, _BATCH_BYTES // (8 * n * n))
 
 
 def _iterate(x, w, kernel, data, stop, max_iterations, record=None):

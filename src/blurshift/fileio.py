@@ -8,12 +8,12 @@ bit.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import dataclasses
 import json
 import math
 import os
+import stat
 
 import numpy as np
 
@@ -67,43 +67,29 @@ def _open_output(path, newline=None, mode="w"):
         raise UnwritableOutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def _stage(path) -> tuple:
-    """(target, temp): the file that ``path`` names, through any symlink,
-    and a new empty file beside it to write the content into, made after
-    checking that the target can be replaced: a directory there cannot be,
-    and a file there must open for appending. Raises
-    UnwritableOutputError, naming ``path``, if either fails."""
-    target = os.path.realpath(path)
-    if os.path.isdir(target):
-        raise UnwritableOutputError(f"cannot write {path}: Is a directory")
-    if os.path.exists(target):
-        _open_output(path, mode="a").close()
-    directory, name = os.path.split(target)
-    temp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
-    try:
-        open(temp, "x").close()
-    except OSError as exc:
-        raise UnwritableOutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
-    return target, temp
-
-
-@contextlib.contextmanager
-def _staged_outputs(*paths):
-    """Stage every named output before any work, so that one which cannot be
-    written fails first. Yields the temporary path to write each output to
-    (None for an output not named). When the block succeeds, each moves into
-    place with ``os.replace``; when it fails, none does, and every temporary
-    file is removed, so a failed command leaves no output behind."""
-    staged = []
-    try:
-        staged.extend(None if path is None else _stage(path) for path in paths)
-        yield [None if s is None else s[1] for s in staged]
-        for target, temp in filter(None, staged):
-            os.replace(temp, target)
-    finally:
-        for _, temp in filter(None, staged):
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(temp)
+def _check_outputs(*paths) -> None:
+    """Raise UnwritableOutputError on the first named output (None names
+    none) that cannot be written, before any work is done. A regular file,
+    or a path that names no file yet, must open for appending, which
+    changes no byte of a file already there; a file the check made is
+    removed again. Any other file there, a device or a pipe, is checked for
+    write permission only, since opening a pipe waits for its reader."""
+    for path in paths:
+        if path is None:
+            continue
+        try:
+            kind = os.stat(path).st_mode
+        except OSError:
+            kind = None
+        if kind is None or stat.S_ISREG(kind):
+            _open_output(path, mode="a").close()
+            if kind is None:
+                # through a symlink, the file made is its target
+                os.remove(os.path.realpath(path))
+        elif stat.S_ISDIR(kind):
+            raise UnwritableOutputError(f"cannot write {path}: Is a directory")
+        elif not os.access(path, os.W_OK):
+            raise UnwritableOutputError(f"cannot write {path}: Permission denied")
 
 
 def _write_csv(path, header, rows) -> None:

@@ -8,13 +8,15 @@ import json
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
-from blurshift import cli, engine, experiments
+from blurshift import cli, engine, experiments, fileio
 from blurshift.cli import _error_code, build_parser, main
 from blurshift.diagnostics import CounterexampleBreakdownError, UnsupportedDimensionError
 from blurshift.engine import IsolatedCenterError, RunConfig, run
@@ -525,7 +527,7 @@ class TestExperiment:
         assert err["error"]["code"] == "internal-error"
         assert list(tmp_path.iterdir()) == []
 
-    def test_outputs_replace_older_files_and_leave_no_staging(self, capsys, tmp_path):
+    def test_outputs_overwrite_older_files(self, capsys, tmp_path):
         out, csv_out = tmp_path / "rep.json", tmp_path / "vals.csv"
         out.write_text("old")
         # an output named through a symlink is written to the symlink's target
@@ -547,6 +549,50 @@ class TestExperiment:
             assert report["iterations"][mode] == {
                 "median": float(np.median(counts)), "max": int(counts.max())
             }
+
+    def test_unwritable_symlink_target_leaves_no_file(self, capsys, tmp_path):
+        # the check creates a missing target through the symlink, then removes it
+        (tmp_path / "rep.json").symlink_to("made.json")
+        argv = ["experiment", "--kind", "efficiency", "--tau", "1", "--reps", "2",
+                "--out", str(tmp_path / "rep.json"),
+                "--emit-csv", str(tmp_path / "missing" / "vals.csv")]
+        code, echo, err = run_cli(capsys, *argv)
+        assert code == 1 and err["error"]["code"] == "unwritable-output"
+        assert [p.name for p in tmp_path.iterdir()] == ["rep.json"]
+        assert (tmp_path / "rep.json").is_symlink()
+
+    def test_report_written_into_a_pipe(self, capsys, tmp_path):
+        fifo = tmp_path / "rep.fifo"
+        os.mkfifo(fifo)
+        # with no reader, the early check must not wait for one
+        checker = threading.Thread(target=fileio._check_outputs, args=(str(fifo),), daemon=True)
+        checker.start()
+        checker.join(10)
+        assert not checker.is_alive()
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            argv = ["experiment", "--kind", "efficiency", "--tau", "1", "--reps", "2",
+                    "--out", str(fifo)]
+            assert run_cli(capsys, *argv)[0] == 0
+            report = json.loads(os.read(reader, 1 << 16))
+        finally:
+            os.close(reader)
+        assert report["statistics"]["blurring"]["count"] == 2
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+
+    @pytest.mark.skipif(os.geteuid() == 0, reason="root writes through any permission")
+    def test_writable_file_in_a_read_only_directory(self, capsys, tmp_path):
+        out = tmp_path / "rep.json"
+        out.write_text("old")
+        tmp_path.chmod(0o555)
+        try:
+            argv = ["experiment", "--kind", "efficiency", "--tau", "1", "--reps", "2",
+                    "--out", str(out)]
+            assert run_cli(capsys, *argv)[0] == 0
+            assert json.loads(out.read_text())["statistics"]["blurring"]["count"] == 2
+            assert [p.name for p in tmp_path.iterdir()] == ["rep.json"]
+        finally:
+            tmp_path.chmod(0o755)
 
     def test_reports_carry_no_workers_key(self, capsys, tmp_path):
         for kind, reps in (("efficiency", "2"), ("convergence-rate", "1")):

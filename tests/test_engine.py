@@ -635,6 +635,8 @@ class TestRun:
         clusters = extract_clusters(PointSet(x))
         assert clusters.sizes.tolist() == [100, 100]
         assert clusters.centers[:, 0].tolist() == [1e307, 1e307 + 1e291]
+        # a distance past the largest double is inf, as the plain measure gives
+        assert engine._max_pairwise_distance(np.array([[-1.7e308], [1.7e308]])) == math.inf
 
     def test_nonblurring_with_separate_centers(self):
         rng = np.random.default_rng(8)
@@ -755,10 +757,12 @@ class TestBatch:
             engine._raise_first(errors)
 
     def test_batch_size_keeps_the_tile_stack_within_its_budget(self):
-        tile = 8 * engine._TILE_ROWS * engine._TILE_COLS
         assert engine._batch_size(100) == engine._BATCH
-        assert engine._batch_size(5000) == engine._BATCH_BYTES // tile
-        assert engine._batch_size(5000) * tile <= engine._BATCH_BYTES
+        rows = engine._TILE_ROWS
+        assert engine._batch_size(rows) == engine._BATCH_BYTES // (8 * rows * rows)
+        assert engine._batch_size(rows) * 8 * rows * rows <= engine._BATCH_BYTES
+        # a cloud past one tile steps alone
+        assert engine._batch_size(rows + 1) == engine._batch_size(5000) == 1
 
 
 class TestExtractClusters:
