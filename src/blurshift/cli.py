@@ -3,7 +3,9 @@
 Five subcommands, one per module entry point: cluster, theory, experiment,
 diagnose, counterexample. Each run prints a single JSON line to stdout with
 the fully resolved configuration and the paths it wrote. Failures print
-{"error": {"code", "message"}} to stderr and exit nonzero.
+{"error": {"code", "message"}} to stderr and exit nonzero. Every output a
+command names is checked before its work and written only after the work
+has succeeded, so a failed command writes none.
 """
 
 from __future__ import annotations
@@ -87,10 +89,7 @@ class _Parser(argparse.ArgumentParser):
     """argparse that reports usage problems in the same JSON shape."""
 
     def error(self, message):
-        print(
-            json.dumps({"error": {"code": "invalid-argument", "message": message}}),
-            file=sys.stderr,
-        )
+        _emit_error(ValueError(message))
         raise SystemExit(2)
 
 
@@ -174,13 +173,10 @@ def _add_engine_flags(parser, with_mode: bool = True) -> None:
     )
 
 
-def _echo(subcommand: str, config: dict, outputs: dict) -> None:
-    print(json.dumps({"subcommand": subcommand, "config": config, "outputs": outputs}))
-
-
 def _run_and_label(args, points, kernel, trace_level: str, data=None):
     """Run the engine as the engine flags say, then label the final
-    positions. Returns (final, trace, clusters)."""
+    positions. Returns (final, trace, clusters, echo), the last being the
+    engine flags as the command echoes them."""
     config = RunConfig(
         kernel=kernel,
         mode=args.mode,
@@ -189,10 +185,17 @@ def _run_and_label(args, points, kernel, trace_level: str, data=None):
         trace_level=trace_level,
     )
     final, trace = run(points, config, data=data)
-    return final, trace, extract_clusters(final, args.merge_tolerance)
+    echo = {
+        "mode": args.mode,
+        "kernel": kernel_to_config(kernel),
+        "stop_displacement": args.stop_displacement,
+        "max_iterations": args.max_iterations,
+        "merge_tolerance": args.merge_tolerance,
+    }
+    return final, trace, extract_clusters(final, args.merge_tolerance), echo
 
 
-def _cmd_cluster(args) -> None:
+def _cmd_cluster(args):
     points = fileio.read_points_csv(args.input)
     kernel = _kernel_from_args(args)
     data = None
@@ -210,31 +213,19 @@ def _cmd_cluster(args) -> None:
     # the result takes only how the run ended from the trace: record the
     # trace itself only when a file is named for it
     recorded = "none" if args.trace is None else trace_level
-    final, trace, clusters = _run_and_label(args, points, kernel, recorded, data)
-    resolved = {
-        "input": args.input,
-        "data": args.data,
-        "mode": args.mode,
-        "kernel": kernel_to_config(kernel),
-        "stop_displacement": args.stop_displacement,
-        "max_iterations": args.max_iterations,
-        "merge_tolerance": args.merge_tolerance,
-        "trace_level": trace_level,
+    final, trace, clusters, echo = _run_and_label(args, points, kernel, recorded, data)
+    resolved = {"input": args.input, "data": args.data, **echo, "trace_level": trace_level}
+    return resolved, {
+        "result": lambda path: fileio.write_result_json(path, final, clusters, trace, resolved),
+        "trace": lambda path: fileio.write_trace_csv(path, trace),
     }
-    fileio.write_result_json(args.output, final, clusters, trace, resolved)
-    outputs = {"result": args.output}
-    if args.trace is not None:
-        fileio.write_trace_csv(args.trace, trace)
-        outputs["trace"] = args.trace
-    _echo("cluster", resolved, outputs)
 
 
-def _cmd_theory(args) -> None:
+def _cmd_theory(args):
     blur = blurring_std_sequence(args.sigma0, args.tau, args.steps)
     fixed = nonblurring_std_sequence(args.sigma0, args.tau, args.steps)
-    fileio.write_theory_csv(args.output, blur, fixed)
     resolved = {"sigma0": args.sigma0, "tau": args.tau, "steps": args.steps}
-    _echo("theory", resolved, {"table": args.output})
+    return resolved, {"table": lambda path: fileio.write_theory_csv(path, blur, fixed)}
 
 
 def _resolve_truncation(raw: str):
@@ -251,7 +242,7 @@ def _resolve_truncation(raw: str):
         ) from exc
 
 
-def _cmd_experiment(args) -> None:
+def _cmd_experiment(args):
     kind = args.kind.replace("-", "_")
     config = ExperimentConfig(
         kind=kind,
@@ -264,23 +255,20 @@ def _cmd_experiment(args) -> None:
         max_iterations=args.max_iterations,
         merge_tolerance=AUTO if args.merge_tolerance is None else args.merge_tolerance,
     )
-    # a replication table can take minutes: find an unwritable output first
-    fileio._check_outputs(args.out, args.emit_csv)
-    outputs = {"report": args.out}
     if kind == "convergence_rate":
         report = run_convergence_rate(config)
-        fileio.write_convergence_report_json(args.out, report)
-        if args.emit_csv is not None:
-            fileio.write_convergence_csv(args.emit_csv, report)
-            outputs["values"] = args.emit_csv
+        writers = {
+            "report": lambda path: fileio.write_convergence_report_json(path, report),
+            "values": lambda path: fileio.write_convergence_csv(path, report),
+        }
     else:
         runner = run_efficiency if kind == "efficiency" else run_robustness
         report = runner(config)
-        fileio.write_experiment_report_json(args.out, report)
-        if args.emit_csv is not None:
-            fileio.write_experiment_values_csv(args.emit_csv, report)
-            outputs["values"] = args.emit_csv
-    _echo("experiment", fileio.config_dict(config), outputs)
+        writers = {
+            "report": lambda path: fileio.write_experiment_report_json(path, report),
+            "values": lambda path: fileio.write_experiment_values_csv(path, report),
+        }
+    return fileio.config_dict(config), writers
 
 
 # the checks diagnose can run
@@ -308,11 +296,11 @@ def _resolve_checks(raw: str, dimension: int) -> list:
     return checks
 
 
-def _cmd_diagnose(args) -> None:
+def _cmd_diagnose(args):
     points = fileio.read_points_csv(args.input)
     kernel = _kernel_from_args(args)
     checks = _resolve_checks(args.checks, points.dimension)
-    _, trace, clusters = _run_and_label(args, points, kernel, "full")
+    _, trace, clusters, echo = _run_and_label(args, points, kernel, "full")
     runners = {
         "radius": lambda: radius_trace(trace),
         "hull": lambda: hull_trace(trace),
@@ -333,21 +321,12 @@ def _cmd_diagnose(args) -> None:
                 for f in dataclasses.fields(found)
                 if f.name not in ("radii", "hulls")
             }
-    resolved = {
-        "input": args.input,
-        "mode": args.mode,
-        "kernel": kernel_to_config(kernel),
-        "stop_displacement": args.stop_displacement,
-        "max_iterations": args.max_iterations,
-        "merge_tolerance": args.merge_tolerance,
-        "checks": checks,
-    }
+    resolved = {"input": args.input, **echo, "checks": checks}
     report["config"] = resolved
-    fileio._write_json(args.output, report)
-    _echo("diagnose", resolved, {"report": args.output})
+    return resolved, {"report": lambda path: fileio._write_json(path, report)}
 
 
-def _cmd_counterexample(args) -> None:
+def _cmd_counterexample(args):
     try:
         deltas = tuple(float(v) for v in args.deltas.split(","))
     except ValueError as exc:
@@ -357,14 +336,17 @@ def _cmd_counterexample(args) -> None:
     trace = run_counterexample(
         deltas=deltas, iterations=args.iterations, delta_min=args.delta_min
     )
-    fileio.write_counterexample_csv(args.output, trace.states, trace.weights)
     resolved = {
         "deltas": list(deltas),
         "iterations": args.iterations,
         "delta_min": args.delta_min,
         "flips": trace.flip_count(),
     }
-    _echo("counterexample", resolved, {"trajectory": args.output})
+    return resolved, {
+        "trajectory": lambda path: fileio.write_counterexample_csv(
+            path, trace.states, trace.weights
+        )
+    }
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -383,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_kernel_flags(cluster)
     _add_engine_flags(cluster)
-    cluster.set_defaults(func=_cmd_cluster)
+    cluster.set_defaults(func=_cmd_cluster, outputs={"result": "output", "trace": "trace"})
 
     theory = sub.add_parser(
         "theory", help="closed-form per-iteration std sequences"
@@ -392,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     theory.add_argument("--tau", type=float, required=True)
     theory.add_argument("--steps", type=int, default=3)
     theory.add_argument("--output", required=True, help="CSV path")
-    theory.set_defaults(func=_cmd_theory)
+    theory.set_defaults(func=_cmd_theory, outputs={"table": "output"})
 
     experiment = sub.add_parser("experiment", help="Monte Carlo studies")
     experiment.add_argument(
@@ -418,7 +400,11 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("--emit-csv", help="long-format raw values CSV")
     _add_engine_flags(experiment, with_mode=False)
     # an absent --merge-tolerance resolves per kind, like an absent --reps
-    experiment.set_defaults(func=_cmd_experiment, merge_tolerance=None)
+    experiment.set_defaults(
+        func=_cmd_experiment,
+        outputs={"report": "out", "values": "emit_csv"},
+        merge_tolerance=None,
+    )
 
     diagnose = sub.add_parser(
         "diagnose", help="contraction checks on an engine run"
@@ -433,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_kernel_flags(diagnose)
     _add_engine_flags(diagnose)
-    diagnose.set_defaults(func=_cmd_diagnose)
+    diagnose.set_defaults(func=_cmd_diagnose, outputs={"report": "output"})
 
     counterexample = sub.add_parser(
         "counterexample",
@@ -443,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     counterexample.add_argument("--iterations", type=int, default=50)
     counterexample.add_argument("--delta-min", type=float, default=0.05)
     counterexample.add_argument("--output", required=True, help="trajectory CSV")
-    counterexample.set_defaults(func=_cmd_counterexample)
+    counterexample.set_defaults(func=_cmd_counterexample, outputs={"trajectory": "output"})
 
     return parser
 
@@ -451,8 +437,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # each subcommand's outputs map its echo keys to their flags; a command
+    # returns its resolved configuration and one writer per echo key
+    named = {key: getattr(args, flag) for key, flag in args.outputs.items()}
+    paths = {key: path for key, path in named.items() if path is not None}
     try:
-        args.func(args)
+        # a replication table can take minutes: find an unwritable output
+        # first, and write none until the whole command has succeeded
+        fileio._check_outputs(*paths.values())
+        resolved, writers = args.func(args)
+        for key, path in paths.items():
+            writers[key](path)
+        print(json.dumps({"subcommand": args.subcommand, "config": resolved, "outputs": paths}))
     except Exception as exc:
         _emit_error(exc)
         return 1

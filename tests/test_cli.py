@@ -492,28 +492,6 @@ class TestExperiment:
         assert len(rows) == 1 + 3 * kept
         assert echo["config"]["replications"] == 12
 
-    @pytest.mark.parametrize("kind", ["efficiency", "convergence-rate"])
-    @pytest.mark.parametrize("bad", ["--out", "--emit-csv"])
-    def test_unwritable_output_fails_before_any_replication(
-        self, capsys, tmp_path, monkeypatch, kind, bad
-    ):
-        def engine_called(*args, **kwargs):
-            raise AssertionError("the engine ran")
-
-        monkeypatch.setattr(experiments, "_iterate", engine_called)
-        monkeypatch.setattr(experiments, "run", engine_called)
-        paths = {"--out": tmp_path / "rep.json", "--emit-csv": tmp_path / "vals.csv"}
-        paths[bad] = tmp_path / "missing" / "x.out"
-        code, echo, err = run_cli(
-            capsys, "experiment", "--kind", kind, "--tau", "1", "--reps",
-            "1" if kind == "convergence-rate" else "2",
-            *(str(part) for flag, path in paths.items() for part in (flag, path)),
-        )
-        assert code == 1 and echo is None
-        assert err["error"]["code"] == "unwritable-output"
-        assert str(paths[bad]) in err["error"]["message"]
-        assert list(tmp_path.iterdir()) == []
-
     def test_failed_experiment_leaves_no_output(self, capsys, tmp_path, monkeypatch):
         def engine_failed(*args, **kwargs):
             raise MemoryError("no room")
@@ -875,13 +853,18 @@ class TestErrorSurface:
         assert code == 1
         assert err["error"]["code"] == "missing-input"
 
+    # every output flag of every subcommand, with each other output named
     @pytest.mark.parametrize(
         "argv, flag",
         [
-            (["cluster", "--input", "pts.csv", "--tau", "1"], "--output"),
+            (["cluster", "--input", "pts.csv", "--tau", "1", "--trace", "t.csv"], "--output"),
             (["cluster", "--input", "pts.csv", "--tau", "1", "--output", "r.json"], "--trace"),
             (["theory", "--tau", "1"], "--output"),
-            (["experiment", "--kind", "convergence-rate", "--tau", "1"], "--out"),
+            (
+                ["experiment", "--kind", "convergence-rate", "--tau", "1",
+                 "--emit-csv", "v.csv"],
+                "--out",
+            ),
             (
                 ["experiment", "--kind", "efficiency", "--tau", "1", "--reps", "2",
                  "--n-points", "10", "--out", "r.json"],
@@ -889,10 +872,28 @@ class TestErrorSurface:
             ),
             (["diagnose", "--input", "pts.csv", "--tau", "1"], "--output"),
             (["counterexample"], "--output"),
+            (
+                ["experiment", "--kind", "convergence-rate", "--tau", "1", "--out", "r.json"],
+                "--emit-csv",
+            ),
+            (
+                ["experiment", "--kind", "efficiency", "--tau", "1", "--reps", "2",
+                 "--n-points", "10", "--emit-csv", "v.csv"],
+                "--out",
+            ),
         ],
     )
     @pytest.mark.parametrize("target", ["missing_dir", "directory"])
     def test_unwritable_output(self, capsys, tmp_path, monkeypatch, argv, flag, target):
+        # found before the work starts, and no other output is written
+        def work_started(*args, **kwargs):
+            raise AssertionError("the work started")
+
+        for owner, name in [
+            (cli, "run"), (cli, "run_counterexample"), (cli, "blurring_std_sequence"),
+            (cli, "nonblurring_std_sequence"), (experiments, "_iterate"), (experiments, "run"),
+        ]:
+            monkeypatch.setattr(owner, name, work_started)
         monkeypatch.chdir(tmp_path)
         write(tmp_path / "pts.csv", "0\n1\n")
         (tmp_path / "a_dir").mkdir()
@@ -906,6 +907,7 @@ class TestErrorSurface:
         error = json.loads(lines[0])["error"]
         assert error["code"] == "unwritable-output"
         assert path in error["message"]
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["a_dir", "pts.csv"]
 
     def test_isolated_center(self, capsys, tmp_path):
         centers = write(tmp_path / "c.csv", "0\n10\n")

@@ -1,9 +1,10 @@
-"""Property over the command-line flags: whatever values `cluster`,
-`theory` and `counterexample` are given, a run ends in exactly one
-strict-JSON line. Either it exits 0 with the echo on stdout and nothing on
-stderr, or it exits 1 or 2 with nothing on stdout and one error on stderr
-whose code is a listed one, never `internal-error`. A warning counts as a
-failure: the run turns it into an exception."""
+"""Property over the command-line flags and input files: whatever values
+`cluster`, `theory` and `counterexample` are given, and whatever points CSV
+`cluster` and `diagnose` read, a run ends in exactly one strict-JSON line.
+Either it exits 0 with the echo on stdout and nothing on stderr, or it
+exits 1 or 2 with nothing on stdout and one error on stderr whose code is a
+listed one, never `internal-error`. A warning counts as a failure: the run
+turns it into an exception."""
 
 import contextlib
 import io
@@ -96,6 +97,31 @@ POINTS = {
 }
 
 
+# coordinate magnitudes from near the bottom of the double range, through
+# the square-root limits of the normal range, to past them
+SPANS = [1e-300, 1e-170, 1e-10, 1.0, 1e10, 1e100, 1e154, 2e154, 1e200, 1e300]
+BAD_CELLS = ["nan", "inf", "-inf", "abc", "", "1e"]
+
+
+@st.composite
+def points_csv(draw) -> str:
+    """A points CSV of 1 to 3 columns at one drawn span and offset, often
+    with repeated rows, sometimes with a header, and sometimes with one cell
+    that is not a finite number."""
+    p = draw(st.integers(1, 3))
+    span = draw(st.sampled_from(SPANS))
+    offset = draw(st.sampled_from([0.0, 1e8, -1e300]))
+    coordinate = st.floats(-1, 1).map(lambda u: repr(offset + span * u))
+    distinct = draw(st.lists(st.lists(coordinate, min_size=p, max_size=p), min_size=1, max_size=5))
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=8))
+    rows = [list(distinct[i]) for i in picks]
+    if draw(st.booleans()):
+        row, column = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, p - 1))
+        rows[row][column] = draw(st.sampled_from(BAD_CELLS))
+    header = [",".join(f"x{d}" for d in range(p))] if draw(st.booleans()) else []
+    return "\n".join(header + [",".join(row) for row in rows]) + "\n"
+
+
 def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 
@@ -186,4 +212,22 @@ DELTAS = st.one_of(
 def test_counterexample_flags(workdir, flags):
     assert_one_outcome(
         ["counterexample", "--output", str(workdir / "trajectory.csv"), *flag_args(flags)]
+    )
+
+
+@given(
+    text=points_csv(),
+    command=st.sampled_from(["cluster", "diagnose"]),
+    flags=st.fixed_dictionaries(
+        {"--tau": st.sampled_from(["1", "1e-3", "1e3"])},
+        optional={"--mode": st.sampled_from(["blurring", "nonblurring"])},
+    ),
+)
+@settings(max_examples=300, deadline=None)
+def test_input_files(workdir, text, command, flags):
+    points = workdir / "drawn.csv"
+    points.write_text(text)
+    assert_one_outcome(
+        [command, "--input", str(points), "--output", str(workdir / f"{command}.json"),
+         *flag_args(flags)]
     )
