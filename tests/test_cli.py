@@ -492,6 +492,28 @@ class TestExperiment:
         assert len(rows) == 1 + 3 * kept
         assert echo["config"]["replications"] == 12
 
+    @pytest.mark.parametrize("kind", ["efficiency", "convergence-rate"])
+    @pytest.mark.parametrize("bad", ["--out", "--emit-csv"])
+    def test_unwritable_output_fails_before_any_replication(
+        self, capsys, tmp_path, monkeypatch, kind, bad
+    ):
+        def engine_called(*args, **kwargs):
+            raise AssertionError("the engine ran")
+
+        monkeypatch.setattr(experiments, "_iterate", engine_called)
+        monkeypatch.setattr(experiments, "run", engine_called)
+        paths = {"--out": tmp_path / "rep.json", "--emit-csv": tmp_path / "vals.csv"}
+        paths[bad] = tmp_path / "missing" / "x.out"
+        code, echo, err = run_cli(
+            capsys, "experiment", "--kind", kind, "--tau", "1", "--reps",
+            "1" if kind == "convergence-rate" else "2",
+            *(str(part) for flag, path in paths.items() for part in (flag, path)),
+        )
+        assert code == 1 and echo is None
+        assert err["error"]["code"] == "unwritable-output"
+        assert str(paths[bad]) in err["error"]["message"]
+        assert list(tmp_path.iterdir()) == []
+
     def test_failed_experiment_leaves_no_output(self, capsys, tmp_path, monkeypatch):
         def engine_failed(*args, **kwargs):
             raise MemoryError("no room")
