@@ -36,6 +36,10 @@ _MAX_TAU_SQ = float(np.finfo(float).max) / 2
 # squared distance, in units of tau^2, at and past which the Gaussian
 # influence exp(-z / 2) is exactly 0 in double precision
 _ZERO_SQ_DISTANCE = 1500.0
+# the most squared bounds a flat kernel compares each squared distance with,
+# one pass per bound, counting into an int8 index, which holds 127; a binary
+# search per pair serves more (at about 200 bounds it is the cheaper anyway)
+_MAX_COMPARED_BOUNDS = 127
 
 
 def _check_scale(name: str, value: float) -> None:
@@ -62,12 +66,12 @@ class Kernel:
 
     def evaluate_sq(self, sq_distances):
         """Influence, in [0, 1], at the given squared distance(s): a scalar
-        gives a float, an array an array of the same shape. Negative values
-        raise ValueError."""
+        gives a float, an array an array of the same shape. Negative and NaN
+        values raise ValueError."""
         scalar = np.ndim(sq_distances) == 0
         out = np.atleast_1d(np.array(sq_distances, dtype=float))
-        if np.any(out < 0):
-            raise ValueError("squared distances must be nonnegative")
+        if not (out >= 0).all():
+            raise ValueError("squared distances must be nonnegative, not NaN")
         self._fill_sq(out)
         return float(out[0]) if scalar else out
 
@@ -124,6 +128,11 @@ class TruncatedFlatKernel(Kernel):
     0 beyond the last threshold. Distance 0 always evaluates to 1, so a
     leading (0.0, 1.0) level is allowed but redundant. Values must sit in
     [0, 1] and be nonincreasing; thresholds strictly increasing.
+
+    Evaluation compares each squared distance with every squared bound (the
+    thresholds below the support radius, the radius itself and 0), one pass
+    per bound, so its cost grows linearly with the number of levels. A kernel
+    with more than 127 bounds binary-searches them per distance instead.
     """
 
     levels: tuple
@@ -164,7 +173,20 @@ class TruncatedFlatKernel(Kernel):
         )
 
     def _fill_sq(self, z):
-        np.take(self._table, np.searchsorted(self._bounds_sq, z), out=z, mode="clip")
+        bounds = self._bounds_sq
+        if len(bounds) > _MAX_COMPARED_BOUNDS:
+            idx = np.searchsorted(bounds, z)
+        else:
+            # searchsorted's left index is the count of bounds below z: start
+            # at every bound and take one off for each bound at or above z.
+            # NaN is at or above none, so it lands past every bound, as there
+            idx = np.full(z.shape, len(bounds), dtype=np.int8)
+            at_or_above = np.empty(z.shape, dtype=bool)
+            for b in bounds:
+                np.less_equal(z, b, out=at_or_above)
+                np.subtract(idx, at_or_above.view(np.int8), out=idx)
+            idx = idx.astype(np.intp)
+        np.take(self._table, idx, out=z, mode="clip")
 
 
 @dataclass(frozen=True)

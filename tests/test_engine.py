@@ -318,6 +318,14 @@ def tiles_seen(kernel, step):
     return seen
 
 
+def many_levels(count: int, step: float) -> TruncatedFlatKernel:
+    """A flat kernel of ``count`` levels, thresholds ``step`` apart from
+    ``step`` on, values falling evenly from 1 towards 0."""
+    return TruncatedFlatKernel(
+        levels=tuple((step * (i + 1), 1.0 - i / (count + 1)) for i in range(count))
+    )
+
+
 class TestTileInfluence:
     """Each tile of influences in the reducer is ``evaluate_sq`` of its
     squared distances, and the family's definition of them, bit for bit."""
@@ -331,6 +339,9 @@ class TestTileInfluence:
         TruncatedFlatKernel(levels=((1.0, 0.5), (2.0, 0.25), (3.0, 0.1)), support_radius=1.5),
         TabulatedKernel(knots=((0.0, 1.0), (1.0, 0.6), (2.5, 0.1))),
         TabulatedKernel(knots=((0.0, 1.0), (1.0, 0.6), (2.5, 0.1)), support_radius=1.7),
+        # 41 squared bounds, counted by comparison, and 131, binary-searched
+        many_levels(40, 0.1),
+        many_levels(130, 0.03),
     )
 
     def clouds(self):
@@ -408,6 +419,48 @@ class TestTileInfluence:
                     )
                 assert len(seen) == 1
                 assert seen[0][0].tobytes() == want.tobytes()
+
+
+class TestFlatKernelSearch:
+    """A flat kernel of at most 127 squared bounds counts one comparison pass
+    per bound on each tile; past that it binary-searches the bounds per pair.
+    Both give every tile the family's definition, bit for bit."""
+
+    def assert_steps_match_definition(self, kernel):
+        rng = np.random.default_rng(66)
+        x = rng.normal(0.0, 1.5, size=(600, 2)) + 25.0
+        pts = PointSet(x, rng.uniform(0.5, 2.0, 600))
+        seen = tiles_seen(kernel, lambda: blurring_step(pts, kernel))
+        seen += tiles_seen(kernel, lambda: nonblurring_step(x[::3] + 0.01, pts, kernel))
+        assert len(seen) > 2
+        for sq, influence in seen:
+            assert influence.tobytes() == influence_sq(kernel, sq).tobytes()
+
+    def test_counted_bounds_never_binary_search(self, monkeypatch):
+        kernel = many_levels(126, 0.03)
+        assert len(kernel._bounds_sq) == 127
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a binary search per pair")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "searchsorted", refuse)
+            self.assert_steps_match_definition(kernel)
+
+    def test_more_bounds_than_an_int8_holds_binary_search(self, monkeypatch):
+        kernel = many_levels(127, 0.03)
+        assert len(kernel._bounds_sq) == 128
+        calls = []
+        search = np.searchsorted
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return search(*args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "searchsorted", spy)
+            self.assert_steps_match_definition(kernel)
+        assert calls
 
 
 class TestIsolation:
@@ -1064,6 +1117,11 @@ TRANSLATION_KERNELS = {
 }
 
 
+# |run(y + off) - off - run(y)| in units of eps (|off| + extent): the largest
+# of 26 000 drawn runs of the property below was 5.3
+RUN_TRANSLATION_ULPS = 64
+
+
 def assert_translation_commutes(mode, kernel, x, w, off):
     """|step(y + off) - off - step(y)| stays within rounding of the offset
     and of the cloud's extent, with y built so that y + off is exact."""
@@ -1103,6 +1161,49 @@ class TestTranslation:
         assert_translation_commutes(
             mode, TRANSLATION_KERNELS[kernel](tau), x, w, np.array(off[:p])
         )
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 40),
+        p=st.integers(1, 2),
+        log_tau=st.floats(-3.0, 3.0),
+        # clouds up to tau wide collapse as one cluster. A cloud that splits
+        # magnifies any perturbation of its input as small as this rounding,
+        # offset or none, to hundreds of ulps
+        spread=st.floats(0.01, 1.0),
+        off=st.lists(st.floats(-1e8, 1e8), min_size=2, max_size=2),
+        mode=st.sampled_from(["blurring", "nonblurring"]),
+        kernel=st.sampled_from(sorted(TRANSLATION_KERNELS)),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_whole_runs_commute_with_translation(
+        self, seed, n, p, log_tau, spread, off, mode, kernel
+    ):
+        # a run stops only at a step that moves nothing, after which every
+        # step would repeat it, so both runs end where 100 steps take them.
+        # They need not stop together: at offset 1e8 the ulp is 1.5e-8 and
+        # the moved run's steps round to no move sooner. A stop at the
+        # default 1e-10 could fall one step apart in the two runs, a
+        # difference of that step, not of rounding
+        tau = 10.0**log_tau
+        rng = np.random.default_rng(seed)
+        x = rng.normal(0.0, spread * tau, size=(n, p))
+        w = rng.uniform(0.5, 2.0, size=n)
+        off = np.array(off[:p])
+        y = (x + off) - off
+        config = RunConfig(
+            kernel=TRANSLATION_KERNELS[kernel](tau),
+            mode=mode,
+            stop_displacement=math.ulp(0.0),
+            max_iterations=100,
+            trace_level="none",
+        )
+        final, _ = run(PointSet(y, w), config)
+        moved, _ = run(PointSet(y + off, w), config)
+        extent = float(np.ptp(y, axis=0).max())
+        bound = RUN_TRANSLATION_ULPS * np.finfo(float).eps * (np.abs(off).max() + extent)
+        err = float(np.abs(moved.positions - off - final.positions).max())
+        assert err <= bound, (err, bound)
 
     @pytest.mark.parametrize("mode", ["blurring", "nonblurring"])
     @pytest.mark.parametrize("kernel", sorted(TRANSLATION_KERNELS))

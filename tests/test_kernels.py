@@ -237,3 +237,61 @@ def test_evaluate_sq_matches_definition():
     sq = np.r_[np.linspace(0, 16, 321), 2.25, 4.41, np.nextafter(4.0, 5.0), 1e-300, 1e300]
     for k in EVERY_FAMILY:
         assert k.evaluate_sq(sq).tobytes() == influence_sq(k, sq).tobytes()
+
+
+@pytest.mark.parametrize("kernel", EVERY_FAMILY)
+def test_nan_rejected_like_a_negative(kernel):
+    # NaN is not below 0 either: unchecked, it came out as nan, or as 0 for
+    # the flat kernel
+    for sq in (math.nan, np.array([[0.0, 1.0], [math.nan, 4.0]])):
+        with pytest.raises(ValueError, match="nonnegative"):
+            kernel.evaluate_sq(sq)
+
+
+@st.composite
+def flat_kernels(draw):
+    """A flat kernel of 1 to 130 levels, so of squared bounds on both sides
+    of the 127 that the comparison count holds, with or without a leading
+    (0, 1) level, and sometimes cut inside one of its levels."""
+    # half the draws near the limit, which the sizes of 1 to 130 rarely reach
+    n = draw(st.one_of(st.integers(1, 130), st.integers(120, 130)))
+    gaps = draw(st.lists(st.floats(1e-3, 10.0), min_size=n, max_size=n))
+    thresholds = np.cumsum(gaps).tolist()
+    values = sorted(
+        draw(st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=n, max_size=n)),
+        reverse=True,
+    )
+    # a zero level ends the support at the level before it; only the last
+    # may be one, or the support would rarely reach past 127 bounds
+    if draw(st.booleans()):
+        values[-1] = 0.0
+    levels = list(zip(thresholds, values))
+    if draw(st.booleans()):
+        levels.insert(0, (0.0, 1.0))
+    radius = None
+    if draw(st.booleans()):
+        i = draw(st.integers(0, n - 1))
+        radius = draw(st.floats(thresholds[i - 1] if i else 0.0, thresholds[i], exclude_min=True))
+    return TruncatedFlatKernel(levels=tuple(levels), support_radius=radius)
+
+
+@given(kernel=flat_kernels())
+@settings(max_examples=100, deadline=None)
+def test_flat_kernel_matches_definition_at_every_bound(kernel):
+    # every squared threshold and the squared radius, each with both of its
+    # float neighbours, and the ends of the domain
+    r = kernel.support_radius
+    bounds = np.array([t * t for t, _ in kernel.levels] + [r * r])
+    sq = np.r_[
+        bounds,
+        np.nextafter(bounds, -math.inf),
+        np.nextafter(bounds, math.inf),
+        0.0, -0.0, 1e-300, 1.7e308, math.inf,
+    ]
+    sq = sq[~(sq < 0)]
+    assert kernel.evaluate_sq(sq).tobytes() == influence_sq(kernel, sq).tobytes()
+    # NaN, which evaluate_sq rejects and the engine never forms, lands past
+    # every bound, as a binary search puts it
+    z = np.r_[sq, math.nan]
+    kernel._fill_sq(z)
+    assert z.tobytes() == np.r_[influence_sq(kernel, sq), 0.0].tobytes()
