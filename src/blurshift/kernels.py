@@ -36,10 +36,6 @@ _MAX_TAU_SQ = float(np.finfo(float).max) / 2
 # squared distance, in units of tau^2, at and past which the Gaussian
 # influence exp(-z / 2) is exactly 0 in double precision
 _ZERO_SQ_DISTANCE = 1500.0
-# the most squared bounds a flat kernel compares each squared distance with,
-# one pass per bound, counting into an int8 index, which holds 127; a binary
-# search per pair serves more (at about 200 bounds it is the cheaper anyway)
-_MAX_COMPARED_BOUNDS = 127
 
 
 def _check_scale(name: str, value: float) -> None:
@@ -131,8 +127,7 @@ class TruncatedFlatKernel(Kernel):
 
     Evaluation compares each squared distance with every squared bound (the
     thresholds below the support radius, the radius itself and 0), one pass
-    per bound, so its cost grows linearly with the number of levels. A kernel
-    with more than 127 bounds binary-searches them per distance instead.
+    per bound, so its cost grows linearly with the number of levels.
     """
 
     levels: tuple
@@ -173,19 +168,17 @@ class TruncatedFlatKernel(Kernel):
         )
 
     def _fill_sq(self, z):
+        # searchsorted's left index is the count of bounds below z: start at
+        # every bound and take one off for each bound at or above z. NaN is
+        # at or above none, so it lands past every bound, as there. The index
+        # is the narrowest unsigned type that holds the bound count, a byte up
+        # to 255 bounds, where the bool pass viewed as bytes needs no cast
         bounds = self._bounds_sq
-        if len(bounds) > _MAX_COMPARED_BOUNDS:
-            idx = np.searchsorted(bounds, z)
-        else:
-            # searchsorted's left index is the count of bounds below z: start
-            # at every bound and take one off for each bound at or above z.
-            # NaN is at or above none, so it lands past every bound, as there
-            idx = np.full(z.shape, len(bounds), dtype=np.int8)
-            at_or_above = np.empty(z.shape, dtype=bool)
-            for b in bounds:
-                np.less_equal(z, b, out=at_or_above)
-                np.subtract(idx, at_or_above.view(np.int8), out=idx)
-            idx = idx.astype(np.intp)
+        idx = np.full(z.shape, len(bounds), dtype=np.min_scalar_type(len(bounds)))
+        at_or_above = np.empty(z.shape, dtype=bool)
+        for b in bounds:
+            np.less_equal(z, b, out=at_or_above)
+            np.subtract(idx, at_or_above.view(np.uint8), out=idx)
         np.take(self._table, idx, out=z, mode="clip")
 
 

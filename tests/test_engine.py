@@ -339,9 +339,10 @@ class TestTileInfluence:
         TruncatedFlatKernel(levels=((1.0, 0.5), (2.0, 0.25), (3.0, 0.1)), support_radius=1.5),
         TabulatedKernel(knots=((0.0, 1.0), (1.0, 0.6), (2.5, 0.1))),
         TabulatedKernel(knots=((0.0, 1.0), (1.0, 0.6), (2.5, 0.1)), support_radius=1.7),
-        # 41 squared bounds, counted by comparison, and 131, binary-searched
+        # 41 and 131 squared bounds, counted into a byte, and 301, into two
         many_levels(40, 0.1),
         many_levels(130, 0.03),
+        many_levels(300, 0.012),
     )
 
     def clouds(self):
@@ -422,45 +423,30 @@ class TestTileInfluence:
 
 
 class TestFlatKernelSearch:
-    """A flat kernel of at most 127 squared bounds counts one comparison pass
-    per bound on each tile; past that it binary-searches the bounds per pair.
-    Both give every tile the family's definition, bit for bit."""
+    """A flat kernel counts one comparison pass per squared bound on each
+    tile, however many bounds it has, and never binary-searches them per
+    pair. The count gives every tile the family's definition, bit for bit."""
 
-    def assert_steps_match_definition(self, kernel):
+    # 127 bounds, 255, the most that a one-byte index holds, and 256, which
+    # takes a two-byte one
+    @pytest.mark.parametrize("count", [126, 254, 255])
+    def test_steps_never_binary_search(self, monkeypatch, count):
+        kernel = many_levels(count, 0.03)
+        assert len(kernel._bounds_sq) == count + 1
         rng = np.random.default_rng(66)
         x = rng.normal(0.0, 1.5, size=(600, 2)) + 25.0
         pts = PointSet(x, rng.uniform(0.5, 2.0, 600))
-        seen = tiles_seen(kernel, lambda: blurring_step(pts, kernel))
-        seen += tiles_seen(kernel, lambda: nonblurring_step(x[::3] + 0.01, pts, kernel))
-        assert len(seen) > 2
-        for sq, influence in seen:
-            assert influence.tobytes() == influence_sq(kernel, sq).tobytes()
-
-    def test_counted_bounds_never_binary_search(self, monkeypatch):
-        kernel = many_levels(126, 0.03)
-        assert len(kernel._bounds_sq) == 127
 
         def refuse(*args, **kwargs):
             raise AssertionError("a binary search per pair")
 
         with monkeypatch.context() as patch:
             patch.setattr(np, "searchsorted", refuse)
-            self.assert_steps_match_definition(kernel)
-
-    def test_more_bounds_than_an_int8_holds_binary_search(self, monkeypatch):
-        kernel = many_levels(127, 0.03)
-        assert len(kernel._bounds_sq) == 128
-        calls = []
-        search = np.searchsorted
-
-        def spy(*args, **kwargs):
-            calls.append(1)
-            return search(*args, **kwargs)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(np, "searchsorted", spy)
-            self.assert_steps_match_definition(kernel)
-        assert calls
+            seen = tiles_seen(kernel, lambda: blurring_step(pts, kernel))
+            seen += tiles_seen(kernel, lambda: nonblurring_step(x[::3] + 0.01, pts, kernel))
+        assert len(seen) > 2
+        for sq, influence in seen:
+            assert influence.tobytes() == influence_sq(kernel, sq).tobytes()
 
 
 class TestIsolation:

@@ -250,11 +250,11 @@ def test_nan_rejected_like_a_negative(kernel):
 
 @st.composite
 def flat_kernels(draw):
-    """A flat kernel of 1 to 130 levels, so of squared bounds on both sides
-    of the 127 that the comparison count holds, with or without a leading
-    (0, 1) level, and sometimes cut inside one of its levels."""
-    # half the draws near the limit, which the sizes of 1 to 130 rarely reach
-    n = draw(st.one_of(st.integers(1, 130), st.integers(120, 130)))
+    """A flat kernel of 1 to 300 levels, so of squared bounds on both sides
+    of the 255 that a one-byte count holds, with or without a leading (0, 1)
+    level, and sometimes cut inside one of its levels."""
+    # half the draws near the limit, which the sizes of 1 to 300 rarely reach
+    n = draw(st.one_of(st.integers(1, 300), st.integers(245, 260)))
     gaps = draw(st.lists(st.floats(1e-3, 10.0), min_size=n, max_size=n))
     thresholds = np.cumsum(gaps).tolist()
     values = sorted(
@@ -262,7 +262,7 @@ def flat_kernels(draw):
         reverse=True,
     )
     # a zero level ends the support at the level before it; only the last
-    # may be one, or the support would rarely reach past 127 bounds
+    # may be one, or the support would rarely reach past 255 bounds
     if draw(st.booleans()):
         values[-1] = 0.0
     levels = list(zip(thresholds, values))
