@@ -148,12 +148,10 @@ def _kernel_from_args(args) -> Kernel:
         raise KernelConfigError(f"--kernel {args.kernel} needs --{own}")
     value = raw if own == "tau" else _parse_pairs(raw, f"--{own}")
     given = f"--{own} {raw}"
-    extra = {}
     if args.support_radius is not None:
-        extra["support_radius"] = args.support_radius
         given += f" --support-radius {args.support_radius}"
     try:
-        return cls(value, **extra)
+        return cls(value, support_radius=args.support_radius)
     except ValueError as exc:
         raise KernelConfigError(f"{given}: {exc}") from exc
 

@@ -29,7 +29,7 @@ from .engine import (
     blurring_step,
     run,
 )
-from .engine import _TILE_ROWS, _sq_dists
+from .engine import _TILE_ROWS, _as_count, _sq_dists
 from .kernels import Kernel, TruncatedFlatKernel
 
 __all__ = [
@@ -140,30 +140,25 @@ def _first(grew) -> Optional[int]:
 def _hull_2d(x: np.ndarray) -> np.ndarray:
     """Counterclockwise convex hull by the monotone chain, collinear points
     dropped so the polygon is strictly convex."""
+    # rows in lexicographic order: primary x, secondary y
     pts = np.unique(x, axis=0)
     if pts.shape[0] <= 2:
         return pts
-    # lexicographic order: primary x, secondary y
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    pts = pts[order]
 
     def cross(o, a, b):
         return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
-    lower = []
-    for q in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], q) <= 0:
-            lower.pop()
-        lower.append(q)
-    upper = []
-    for q in pts[::-1]:
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], q) <= 0:
-            upper.pop()
-        upper.append(q)
-    hull = np.array(lower[:-1] + upper[:-1])
-    if hull.shape[0] == 0:  # fully collinear set leaves only the chain ends
-        hull = np.array([lower[0], lower[-1]])
-    return hull
+    def chain(seq) -> list:
+        # each point in turn, once the points it would leave behind a
+        # clockwise turn or a straight line are popped; both ends stay
+        out = []
+        for q in seq:
+            while len(out) >= 2 and cross(out[-2], out[-1], q) <= 0:
+                out.pop()
+            out.append(q)
+        return out
+
+    return np.array(chain(pts)[:-1] + chain(pts[::-1])[:-1])
 
 
 def _hull_directions(hull: np.ndarray) -> np.ndarray:
@@ -380,6 +375,7 @@ def run_counterexample(
     x = _three_points(deltas)
     if not 0.0 < delta_min < 0.25:
         raise ValueError("delta_min must lie strictly between 0 and 1/4")
+    iterations = _as_count("iterations", iterations)
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
     kernel = oscillation_kernel()

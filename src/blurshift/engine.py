@@ -33,17 +33,16 @@ clouds of at most ``_TILE_ROWS`` points in batches of up to ``_BATCH``.
 Row blocks of the tiles are dealt round-robin to a fixed number of stripes.
 Each stripe sums its tiles in a fixed order into its own accumulator, and
 the stripe accumulators are added in stripe order. A step of at least
-``_THREADED_PAIRS`` pairs runs its stripes on up to that many threads (numpy
-ufuncs and BLAS release the interpreter lock); a smaller one runs them on
-the calling thread, so its time does not depend on a second CPU being free.
-The split never depends on the thread count, so a step gives bitwise the
-same result on one thread or several.
+``_THREADED_PAIRS`` pairs runs each of its stripes on a thread of its own
+(numpy ufuncs and BLAS release the interpreter lock); a smaller one runs
+them on the calling thread, so its time does not depend on a second CPU
+being free. The split never depends on the thread count, so a step gives
+bitwise the same result on one thread or several.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -219,15 +218,6 @@ class ClusterResult:
         return len(self.sizes)
 
 
-def _stripe_workers() -> int:
-    """Threads to run the stripes on: at most one per stripe and per CPU."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    return min(_STRIPES, cpus)
-
-
 def _scaled_weights(w: np.ndarray) -> np.ndarray:
     """The weights times the power of two that puts the largest in [1, 2).
 
@@ -318,8 +308,9 @@ def _plan(x: np.ndarray, w: np.ndarray, kernel: Kernel):
     each stripe walks its blocks in order, in tiles of ``_TILE_COLS``
     columns (a stack of one such tile per member), into its own
     accumulator, and the accumulators are added in stripe order. Which
-    stripes exist depends on m alone, so the thread count, one below
-    ``_THREADED_PAIRS`` pairs, never changes a bit of the result.
+    stripes exist depends on m alone, so the thread count, one per stripe
+    from ``_THREADED_PAIRS`` pairs on and one below, never changes a bit of
+    the result.
     """
     B, n, p = x.shape
     mu = _mean(x)
@@ -409,8 +400,7 @@ def _plan(x: np.ndarray, w: np.ndarray, kernel: Kernel):
                 return acc
 
             stripes = range(min(_STRIPES, max(1, -(-m // _TILE_ROWS))))
-            workers = min(len(stripes), _stripe_workers()) if G * m * n >= _THREADED_PAIRS else 1
-            if workers == 1:
+            if len(stripes) == 1 or G * m * n < _THREADED_PAIRS:
                 # no thread pool: it costs more than a whole small step
                 parts = [stripe(s) for s in stripes]
             else:
@@ -418,7 +408,7 @@ def _plan(x: np.ndarray, w: np.ndarray, kernel: Kernel):
                 # logging, a startup cost for every import of the package
                 from concurrent.futures import ThreadPoolExecutor
 
-                with ThreadPoolExecutor(max_workers=workers) as pool:
+                with ThreadPoolExecutor(max_workers=len(stripes)) as pool:
                     parts = list(pool.map(stripe, stripes))
             acc = parts[0]
             for part in parts[1:]:
@@ -532,11 +522,12 @@ def _diameter(x: np.ndarray) -> float:
     return math.sqrt(best)
 
 
+# a std past the largest double reads inf, as the radius does
+@np.errstate(over="ignore", invalid="ignore")
 def _cloud_stds(x: np.ndarray) -> np.ndarray:
     if x.shape[0] < 2:
         return np.zeros(x.shape[1])
-    with np.errstate(over="ignore", invalid="ignore"):
-        stds = x.std(axis=0, ddof=1)
+    stds = x.std(axis=0, ddof=1)
     wide = ~np.isfinite(stds)
     if wide.any():
         # each squared deviation fits a double but their sum need not: sum
@@ -572,8 +563,7 @@ def _iterate(x, w, kernel, data, stop, max_iterations, record=None):
     weights are w (B, n), with one plan of the data, built again only when
     members leave. A member leaves the batch when it converges, reaches the
     cap or fails, and gets bitwise what it would get alone. ``record(disp,
-    x)``, for a batch of one, sees the input once the first step has
-    succeeded, then each step's displacement and positions.
+    x)``, for a batch of one, sees each step's displacement and positions.
 
     Returns the final positions (B, m, p), the iterations (B,) and the
     converged flags (B,) of every member, and a dict of the failed members
@@ -606,10 +596,6 @@ def _iterate(x, w, kernel, data, stop, max_iterations, record=None):
             keep_only(keep)
             if not active:
                 break
-        if record is not None and t == 1:
-            # only now: the first step rejects a cloud too wide to measure
-            # before its radius and stds overflow
-            record(math.nan, x[0])
         step = new - x
         disps = np.sqrt(np.einsum("bij,bij->bi", step, step).max(axis=1)).tolist()
         x = new
@@ -654,6 +640,8 @@ def run(points: PointSet, config: RunConfig, data: Optional[PointSet] = None):
         if positions is not None:
             positions.append(x.copy())
 
+    if config.trace_level != "none":
+        record(math.nan, points.positions)
     final, iterations, converged, errors = _iterate(
         points.positions[None],
         _scaled_weights(fixed.weights)[None],

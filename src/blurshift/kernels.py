@@ -91,16 +91,16 @@ class GaussianKernel(Kernel):
 
     The cutoff turns the profile into a compactly supported kernel while
     keeping the Gaussian shape inside the support; experiments that need
-    outliers to decouple deterministically use it.
+    outliers to decouple deterministically use it. Without one (None, the
+    default) the support radius reads inf.
     """
 
     tau: float
-    support_radius: float = math.inf
+    support_radius: float | None = None
 
     def __post_init__(self):
         _check_scale("tau", self.tau)
-        if not self.support_radius > 0:
-            raise ValueError("support_radius must be positive")
+        self._settle_support(math.inf)
 
     def _fill_sq(self, z):
         r = self.support_radius

@@ -384,6 +384,10 @@ class TestCounterexample:
     def test_other_argument_validation(self):
         with pytest.raises(ValueError):
             run_counterexample(iterations=0)
+        # a count, not a float range() rejects nor a bool taken as one
+        for count in (2.5, True):
+            with pytest.raises(ValueError, match="iterations must be an integer"):
+                run_counterexample(iterations=count)
         with pytest.raises(ValueError):
             run_counterexample(delta_min=0.3)
 

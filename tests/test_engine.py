@@ -1,5 +1,7 @@
+import concurrent.futures
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -221,8 +223,7 @@ class TestLargeCloudPaths:
                 np.testing.assert_allclose(got, want, rtol=1e-11, atol=1e-13)
 
     def test_tiled_gaussian_thread_count_independent(self, monkeypatch):
-        # thread every step, so that both worker counts run the pool
-        monkeypatch.setattr(engine, "_THREADED_PAIRS", 0)
+        # every step threaded, one thread per stripe, against none threaded
         rng = np.random.default_rng(47)
         n = 3201
         kernels = (GaussianKernel(0.9), GaussianKernel(0.9, support_radius=2.7))
@@ -232,8 +233,8 @@ class TestLargeCloudPaths:
             centers = x[:769] + 0.1
             for kernel in kernels:
                 steps = []
-                for workers in (1, 2):
-                    monkeypatch.setattr(engine, "_stripe_workers", lambda k=workers: k)
+                for threaded_pairs in (0, 10**30):
+                    monkeypatch.setattr(engine, "_THREADED_PAIRS", threaded_pairs)
                     steps.append(
                         (
                             blurring_step(pts, kernel).positions,
@@ -244,10 +245,11 @@ class TestLargeCloudPaths:
                     np.testing.assert_array_equal(a, b)
 
     def test_steps_below_threaded_pairs_start_no_threads(self, monkeypatch):
-        def no_threads():
-            raise AssertionError("a step below _THREADED_PAIRS asked for threads")
+        class NoThreads:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a step below _THREADED_PAIRS asked for threads")
 
-        monkeypatch.setattr(engine, "_stripe_workers", no_threads)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", NoThreads)
         rng = np.random.default_rng(48)
         x = rng.normal(0.0, 1.0, size=(3201, 2))
         pts = PointSet(x)
@@ -255,6 +257,10 @@ class TestLargeCloudPaths:
         for kernel in (GaussianKernel(0.9), GaussianKernel(0.9, support_radius=2.7)):
             blurring_step(pts, kernel)
             nonblurring_step(x[:769], pts, kernel)
+        # the guard bites: the same step asks for the pool once it is threaded
+        monkeypatch.setattr(engine, "_THREADED_PAIRS", 0)
+        with pytest.raises(AssertionError, match="asked for threads"):
+            blurring_step(pts, GaussianKernel(0.9))
 
     def test_wide_cloud_falls_back_and_matches_dense(self):
         # spread large enough that the factored exponentials would overflow
@@ -474,6 +480,15 @@ class TestIsolation:
                 blurring_step(PointSet(wide), GaussianKernel(1.0))
             with pytest.raises(ValueError, match="overflow"):
                 nonblurring_step(wide, PointSet(wide), GaussianKernel(1.0))
+            # a run records the input, the third's std past the largest
+            # double among it, before its first step rejects the cloud
+            for mode in ("blurring", "nonblurring"):
+                for level in ("summary", "full"):
+                    cfg = RunConfig(kernel=GaussianKernel(1.0), mode=mode, trace_level=level)
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error", RuntimeWarning)
+                        with pytest.raises(ValueError, match="too wide"):
+                            run(PointSet(wide), cfg)
 
     def test_widest_finite_pair_runs(self):
         # pairwise squared distance 1e308, just inside the float range

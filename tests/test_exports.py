@@ -1,5 +1,6 @@
-"""Every name a module exports in ``__all__`` exists on it, and no source
-file imports a name it never uses."""
+"""Every name a module exports in ``__all__`` exists on it, no source file
+imports a name it never uses, and every private module-level definition of
+the package is read somewhere in it."""
 
 import ast
 import importlib
@@ -57,3 +58,40 @@ def unused_imports(tree: ast.Module) -> list:
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(ast.parse(path.read_text(), str(path))) == []
+
+
+def unread_privates(trees: dict) -> list:
+    """Private module-level functions, classes and constants of the modules
+    in ``trees`` (path to parsed module) that no module reads: neither by
+    name, nor as an attribute, nor by importing it."""
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    unread = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                continue
+            unread += [
+                f"{path.name}: {name} (line {node.lineno})"
+                for name in names
+                if name.startswith("_") and not name.startswith("__") and name not in read
+            ]
+    return sorted(unread)
+
+
+def test_no_unread_private_definitions():
+    paths = sorted(ROOT.glob("src/blurshift/*.py"))
+    assert unread_privates({p: ast.parse(p.read_text(), str(p)) for p in paths}) == []

@@ -9,6 +9,7 @@ from blurshift.kernels import (
     GaussianKernel,
     TabulatedKernel,
     TruncatedFlatKernel,
+    kernel_to_config,
 )
 
 from oracles import gaussian_profile, influence_sq, stepped_profile, tabulated_profile
@@ -210,18 +211,29 @@ class TestTabulated:
         assert k.evaluate_sq(2.0 * 2.0) == 0.7
 
 
-@pytest.mark.parametrize(
-    "make",
-    [
-        lambda r: TruncatedFlatKernel(levels=((1.0, 0.5),), support_radius=r),
-        lambda r: TabulatedKernel(knots=((0.0, 1.0), (1.0, 0.5)), support_radius=r),
-    ],
+# one kernel of each family from its support radius, and the profile's own
+# support, which a radius of None stands for
+WITH_SUPPORT = (
+    (lambda r: TruncatedFlatKernel(levels=((1.0, 0.5),), support_radius=r), 1.0),
+    (lambda r: TabulatedKernel(knots=((0.0, 1.0), (1.0, 0.5)), support_radius=r), math.inf),
+    (lambda r: GaussianKernel(1.0, support_radius=r), math.inf),
 )
+
+
+@pytest.mark.parametrize("make", [make for make, _ in WITH_SUPPORT])
 @pytest.mark.parametrize("radius", [math.nan, 0.0, -1.0])
 def test_bad_support_radius_rejected(make, radius):
     # nan is a bad radius like any other, not a request for the default
     with pytest.raises(ValueError, match="support_radius"):
         make(radius)
+
+
+@pytest.mark.parametrize("make, own", WITH_SUPPORT, ids=["flat", "tabulated", "gaussian"])
+def test_unset_support_radius_is_the_profiles_own(make, own):
+    k = make(None)
+    assert k.support_radius == own
+    assert k == make(own)
+    assert kernel_to_config(k) == kernel_to_config(make(own))
 
 
 def test_gaussian_agrees_with_scalar_reference():
