@@ -15,10 +15,14 @@ to rounding of the cloud's extent, and holds every array that depends on
 the clouds alone. Its sweep moves each member's targets to their
 influence-weighted means of that member's cloud; sweeping the clouds
 themselves, ``sweep(None)``, is the blurring step, with the self pair pinned
-at f(0) = 1. Every pair is evaluated exactly, no neighbor pruning. The sums
-are accumulated over cache-sized tiles in a fixed order; an untruncated
-Gaussian takes a factorised tile that needs no distances, and every other
-kernel overwrites the tile's squared distances with influences in place.
+at f(0) = 1. Every pair enters the sums exactly, no neighbor pruning. The
+sums are accumulated over cache-sized tiles in a fixed order; an
+untruncated Gaussian takes a factorised tile that needs no distances, and
+every other kernel overwrites the tile's squared distances with influences
+in place. The kernel is evaluated only inside its exact zero radius, past
+which every influence is +0.0: a tile with few pairs inside gathers and
+fills those alone and zeroes the rest, bitwise what filling the whole tile
+gives, and the products over the tile stay dense.
 The tile path is chosen per member, and the members on one path are swept
 as a stack of tiles, one per member, through the same ufunc sequence as a
 member alone, so a member's result never depends on its batch.
@@ -89,6 +93,15 @@ _EXP_ARG_LIMIT = 700.0
 # largest squared spread from the mean that a sweep takes: a pairwise squared
 # distance reaches four times as much
 _WIDEST = np.finfo(float).max / 4
+# a generic tile fills only its entries inside the kernel's zero radius when
+# they are at most this share of the tile. On one 256 x 512 tile with a
+# random pattern of entries inside (best of 15, one BLAS thread, 2-vCPU VM;
+# BENCH_22.json), gathering them costs less than filling the whole tile up
+# to about 18% inside for the flat kernel of 3 levels and 28% for the
+# Gaussian cut at 3 tau, and up to 70% and more for the tabulated kernel and
+# a flat one of 300 levels; at 1% inside the Gaussian cut costs 0.8 ns per
+# entry gathered against 2.9 filled whole
+_SPARSE_SHARE = 0.2
 # runs on clouds of at most _TILE_ROWS points stepped together as one batch:
 # at most this many, and few enough that the stack of their tiles, one per
 # run, stays within the byte budget
@@ -274,6 +287,32 @@ def _paths(spreads: np.ndarray, limit: float) -> dict:
     return paths
 
 
+def _fill_tile(kernel: Kernel, z: np.ndarray, inside: np.ndarray) -> None:
+    """Overwrite the tile z, contiguous expanded squared distances not yet
+    clamped at 0, with their influences, clamp included; ``inside`` is a
+    bool buffer of z's shape, scratch for the mask of the entries within
+    the kernel's zero radius ``_zero_sq``, past which every influence is
+    exactly +0.0.
+
+    A tile with at most ``_SPARSE_SHARE`` of its entries inside gathers
+    them, fills that vector and scatters it back into a zeroed tile; any
+    other tile is filled whole, with the mask handed to the kernel for the
+    comparison it would make itself. The fill is elementwise and the
+    skipped entries are +0.0 on both paths, so both give the same bits."""
+    np.less_equal(z, kernel._zero_sq, out=inside)
+    if np.count_nonzero(inside) > _SPARSE_SHARE * z.size:
+        np.maximum(z, 0.0, out=z)
+        kernel._fill_sq(z, inside)
+        return
+    flat = z.reshape(-1)
+    at = np.flatnonzero(inside)
+    near = flat.take(at)
+    np.maximum(near, 0.0, out=near)
+    kernel._fill_sq(near)
+    flat.fill(0.0)
+    flat[at] = near
+
+
 def _plan(x: np.ndarray, w: np.ndarray, kernel: Kernel):
     """The reducer plan of a stack of B clouds x (B, n, p) with weights w
     (B, n). Its data side is built here, once; the returned
@@ -296,13 +335,14 @@ def _plan(x: np.ndarray, w: np.ndarray, kernel: Kernel):
     An untruncated Gaussian whose centred spread, of the data and the
     targets together, keeps every exponent within ``_EXP_ARG_LIMIT`` is
     factorised, exp(-|u - v|^2) = e^{-|u|^2} e^{-|v|^2} e^{2 u.v}, so a tile
-    costs one product and one exp; for any other kernel ``kernel._fill_sq``
+    costs one product and one exp; for any other kernel ``_fill_tile``
     overwrites the tile of centred expanded squared distances, clamped at 0,
-    with influences. The path is chosen per member and per sweep, and the
-    members of one path are swept together. The plan builds the data side
-    of the tile path that each member's data alone allow; a sweep whose
-    members do not match that side builds the side they need for itself,
-    uncached.
+    with influences, and evaluates the kernel only on the pairs inside its
+    zero radius where they are few. The path is chosen per member and per
+    sweep, and the members of one path are swept together. The plan builds
+    the data side of the tile path that each member's data alone allow; a
+    sweep whose members do not match that side builds the side they need
+    for itself, uncached.
 
     Row block b of ``_TILE_ROWS`` targets goes to stripe b mod ``_STRIPES``;
     each stripe walks its blocks in order, in tiles of ``_TILE_COLS``
@@ -368,7 +408,9 @@ def _plan(x: np.ndarray, w: np.ndarray, kernel: Kernel):
             rows = np.zeros((G, m, colsT.shape[1]))
             rows[:, :, :p] = tg / (math.sqrt(2.0) * kernel.tau) if factored else tg
 
-            def tile(i0: int, i1: int, j0: int, j1: int, buf: np.ndarray) -> np.ndarray:
+            def tile(
+                i0: int, i1: int, j0: int, j1: int, buf: np.ndarray, mask: Optional[np.ndarray]
+            ) -> np.ndarray:
                 # contiguous head of the flat buffer: a strided view of a full-size
                 # tile doubles the cost of the ufuncs on small tiles
                 z = buf[: G * (i1 - i0) * (j1 - j0)].reshape(G, i1 - i0, j1 - j0)
@@ -377,23 +419,23 @@ def _plan(x: np.ndarray, w: np.ndarray, kernel: Kernel):
                     return np.exp(z, out=z)
                 z += ttg[:, i0:i1, None]
                 z += xxg[:, None, j0:j1]
-                np.maximum(z, 0.0, out=z)
                 if blur and i0 == j0:
                     # the self pairs, on every member's diagonal
                     z.reshape(G, -1)[:, :: i1 - i0 + 1] = 0.0
-                kernel._fill_sq(z)
+                _fill_tile(kernel, z, mask[: z.size].reshape(z.shape))
                 return z
 
             def stripe(s: int) -> np.ndarray:
                 acc = np.zeros((G, m, p + 1))
                 buf = np.empty(G * min(m, _TILE_ROWS) * min(n, _TILE_COLS))
+                mask = None if factored else np.empty(buf.size, dtype=bool)
                 for i0 in range(s * _TILE_ROWS, m, _STRIPES * _TILE_ROWS):
                     i1 = min(i0 + _TILE_ROWS, m)
                     if blur:
-                        acc[:, i0:i1] += tile(i0, i1, i0, i1, buf) @ V[:, i0:i1]
+                        acc[:, i0:i1] += tile(i0, i1, i0, i1, buf, mask) @ V[:, i0:i1]
                     for j0 in range(i1 if blur else 0, n, _TILE_COLS):
                         j1 = min(j0 + _TILE_COLS, n)
-                        F = tile(i0, i1, j0, j1, buf)
+                        F = tile(i0, i1, j0, j1, buf, mask)
                         acc[:, i0:i1] += F @ V[:, j0:j1]
                         if blur:
                             acc[:, j0:j1] += F.transpose(0, 2, 1) @ V[:, i0:i1]

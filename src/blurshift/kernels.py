@@ -54,11 +54,23 @@ class KernelConfigError(ValueError):
 
 
 class Kernel:
-    """Base interface. Subclasses implement ``_fill_sq``, which overwrites a
-    float array of nonnegative squared distances with their influences in
-    place, support cutoff included; the engine calls it on its own tiles."""
+    """Base interface. Subclasses implement ``_fill_sq(z, inside=None)``,
+    which overwrites a float array of nonnegative squared distances with
+    their influences in place, support cutoff included. The fill is
+    elementwise: each entry's influence depends on that entry alone, so a
+    vector gathered from a tile fills to the same bits as the whole tile.
+
+    ``_zero_sq`` is the kernel's exact squared zero radius: every squared
+    distance past it has influence exactly +0.0. The engine fills a tile
+    with few entries inside it by gathering those entries alone; a denser
+    tile it fills whole and passes ``inside``, the bool mask of
+    z <= ``_zero_sq``, which the fill may use in place of a comparison of
+    its own and may overwrite. Without ``inside``, as from
+    ``evaluate_sq``, the fill makes its own comparisons."""
 
     support_radius: float
+    # no exact zero known: the engine evaluates every entry
+    _zero_sq = math.inf
 
     def evaluate_sq(self, sq_distances):
         """Influence, in [0, 1], at the given squared distance(s): a scalar
@@ -101,15 +113,23 @@ class GaussianKernel(Kernel):
     def __post_init__(self):
         _check_scale("tau", self.tau)
         self._settle_support(math.inf)
-
-    def _fill_sq(self, z):
         r = self.support_radius
-        keep = z <= r * r if math.isfinite(r) else None
+        object.__setattr__(
+            self, "_zero_sq", min(r * r, _ZERO_SQ_DISTANCE * self.tau * self.tau)
+        )
+
+    def _fill_sq(self, z, inside=None):
+        r = self.support_radius
+        keep = None
+        if math.isfinite(r):
+            # the mask of the zero radius serves for the cutoff's: the two
+            # differ only past 1500 tau^2, where the clamp below gives 0
+            keep = z <= r * r if inside is None else inside
         # exp(-750) is already exactly 0, so no influence changes: entries
         # past the cutoff are zeroed below, and the clamp keeps exp off its
         # slow path for large negative arguments and the divide from
         # overflowing on clouds wide against tau
-        np.minimum(z, min(r * r, _ZERO_SQ_DISTANCE * self.tau * self.tau), out=z)
+        np.minimum(z, self._zero_sq, out=z)
         np.divide(z, -2.0 * self.tau * self.tau, out=z)
         np.exp(z, out=z)
         if keep is not None:
@@ -127,7 +147,9 @@ class TruncatedFlatKernel(Kernel):
 
     Evaluation compares each squared distance with every squared bound (the
     thresholds below the support radius, the radius itself and 0), one pass
-    per bound, so its cost grows linearly with the number of levels.
+    per bound, so its cost grows linearly with the number of levels. The
+    zero radius is the support radius, so the engine evaluates only the
+    pairs inside the support of a tile where they are few.
     """
 
     levels: tuple
@@ -166,8 +188,9 @@ class TruncatedFlatKernel(Kernel):
         object.__setattr__(
             self, "_table", np.r_[1.0, values[:k], values[k] if k < len(values) else 0.0, 0.0]
         )
+        object.__setattr__(self, "_zero_sq", r_sq)
 
-    def _fill_sq(self, z):
+    def _fill_sq(self, z, inside=None):
         # searchsorted's left index is the count of bounds below z: start at
         # every bound and take one off for each bound at or above z. NaN is
         # at or above none, so it lands past every bound, as there. The index
@@ -175,7 +198,13 @@ class TruncatedFlatKernel(Kernel):
         # to 255 bounds, where the bool pass viewed as bytes needs no cast
         bounds = self._bounds_sq
         idx = np.full(z.shape, len(bounds), dtype=np.min_scalar_type(len(bounds)))
-        at_or_above = np.empty(z.shape, dtype=bool)
+        if inside is None:
+            at_or_above = np.empty(z.shape, dtype=bool)
+        else:
+            # the last bound is the zero radius, whose pass is the mask; the
+            # mask then holds the passes of the others
+            np.subtract(idx, inside.view(np.uint8), out=idx)
+            bounds, at_or_above = bounds[:-1], inside
         for b in bounds:
             np.less_equal(z, b, out=at_or_above)
             np.subtract(idx, at_or_above.view(np.uint8), out=idx)
@@ -222,10 +251,14 @@ class TabulatedKernel(Kernel):
                 k -= 1
             intrinsic = ds[k]
         self._settle_support(intrinsic)
-
-    def _fill_sq(self, z):
         r = self.support_radius
-        keep = z <= r * r if math.isfinite(r) else None
+        object.__setattr__(self, "_zero_sq", r * r)
+
+    def _fill_sq(self, z, inside=None):
+        r = self.support_radius
+        keep = None
+        if math.isfinite(r):
+            keep = z <= r * r if inside is None else inside
         z[...] = np.interp(np.sqrt(z), self._ds, self._vs)
         if keep is not None:
             np.multiply(z, keep, out=z)

@@ -305,21 +305,39 @@ class TestLargeCloudPaths:
 
 
 def tiles_seen(kernel, step):
-    """(squared distances, influences) of every tile that the reducer hands
-    to ``kernel._fill_sq`` while ``step()`` runs."""
-    seen = []
-    fill = kernel._fill_sq
+    """(squared distances, influences) of every whole tile that the reducer
+    fills with ``engine._fill_tile`` while ``step()`` runs.
 
-    def spy(z):
+    The squared distances are the ones the hook clamps at 0 and hands to
+    ``kernel._fill_sq``: on a dense tile the whole tile, on a sparse one the
+    entries its own mask gathered, put back in their places among the
+    entries past the zero radius, which the hook neither clamps nor fills."""
+    seen, handed = [], []
+    hook, fill = engine._fill_tile, kernel._fill_sq
+
+    def spy_fill(z, *inside):
+        handed.append(z.copy())
+        fill(z, *inside)
+
+    def spy_hook(k, z, inside):
         sq = z.copy()
-        fill(z)
+        handed.clear()
+        hook(k, z, inside)
+        # one fill per tile, of the whole tile or of what the mask gathered
+        (filled,) = handed
+        if filled.shape == z.shape:
+            sq = filled
+        else:
+            sq.reshape(-1)[np.flatnonzero(inside)] = filled
         seen.append((sq, z.copy()))
 
     # kernels are frozen dataclasses: shadow the method on this instance only
-    object.__setattr__(kernel, "_fill_sq", spy)
+    object.__setattr__(kernel, "_fill_sq", spy_fill)
+    engine._fill_tile = spy_hook
     try:
         step()
     finally:
+        engine._fill_tile = hook
         object.__delattr__(kernel, "_fill_sq")
     return seen
 
@@ -453,6 +471,68 @@ class TestFlatKernelSearch:
         assert len(seen) > 2
         for sq, influence in seen:
             assert influence.tobytes() == influence_sq(kernel, sq).tobytes()
+
+
+class TestSparseTiles:
+    """A tile with few entries inside the kernel's zero radius fills only
+    those, a denser one the whole tile, and both give the bits of the
+    kernel's fill of the whole clamped tile."""
+
+    @given(
+        kernel=st.sampled_from(TestTileInfluence.KERNELS),
+        shape=st.tuples(st.integers(1, 3), st.integers(1, 30), st.integers(1, 50)),
+        share=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(kernel=TestTileInfluence.KERNELS[1], shape=(2, 17, 33), share=0.0, seed=0)
+    @example(kernel=TestTileInfluence.KERNELS[1], shape=(2, 17, 33), share=1.0, seed=0)
+    @settings(max_examples=200, deadline=None)
+    def test_hook_equals_the_whole_tile_fill(self, kernel, shape, share, seed):
+        rng = np.random.default_rng(seed)
+        zero_sq = kernel._zero_sq
+        reach = zero_sq if math.isfinite(zero_sq) else 10.0
+        inside = rng.random(shape) < share
+        z = np.where(inside, rng.uniform(0.0, reach, shape), reach * rng.uniform(1.0, 50.0, shape))
+        # the edges: expanded distances rounded below 0, exact 0 and the
+        # zero radius itself inside; the next double up and the far end past it
+        edge = rng.random(shape) < 0.2
+        z[edge & inside] = rng.choice([-1e-16 * reach, 0.0, reach], size=z[edge & inside].shape)
+        if math.isfinite(zero_sq):
+            past = [np.nextafter(zero_sq, math.inf), 1e300]
+            z[edge & ~inside] = rng.choice(past, size=z[edge & ~inside].shape)
+        want = np.maximum(z, 0.0)
+        kernel._fill_sq(want)
+        engine._fill_tile(kernel, z, np.empty(shape, dtype=bool))
+        assert z.tobytes() == want.tobytes()
+
+    def test_steps_take_both_paths(self):
+        # 100 blobs 10 apart under a support of 3 put about 1% of the pairs
+        # inside it, so every tile is sparse; one N(0, 1) cloud puts most
+        # inside, so every tile is dense
+        kernel = GaussianKernel(1.0, support_radius=3.0)
+        rng = np.random.default_rng(68)
+        grid = np.array([(i, j) for i in range(10) for j in range(10)], float) * 10.0
+        blobs = np.repeat(grid, 8, axis=0) + rng.normal(0.0, 0.5, (800, 2))
+        # in random order: a blob's points together would crowd the small
+        # tiles at the cloud's end past the crossover
+        blobs = blobs[rng.permutation(800)]
+        normal = rng.normal(0.0, 1.0, (800, 2))
+        fill = kernel._fill_sq
+        for x, sparse in ((blobs, True), (normal, False)):
+            handed = []
+
+            def spy(z, *inside):
+                handed.append(z.ndim == 1)
+                fill(z, *inside)
+
+            object.__setattr__(kernel, "_fill_sq", spy)
+            try:
+                blurring_step(PointSet(x), kernel)
+                nonblurring_step(x[::3] + 0.01, PointSet(x), kernel)
+            finally:
+                object.__delattr__(kernel, "_fill_sq")
+            # a gathered vector on the sparse path, a whole tile on the dense
+            assert len(handed) > 2 and set(handed) == {sparse}
 
 
 class TestIsolation:

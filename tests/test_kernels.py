@@ -251,6 +251,35 @@ def test_evaluate_sq_matches_definition():
         assert k.evaluate_sq(sq).tobytes() == influence_sq(k, sq).tobytes()
 
 
+# (kernel, its squared zero radius): sqrt(1500) tau = 38.73 tau, so the
+# Gaussian cut at 38.7 tau zeroes past its cutoff, the one cut at 38.8 tau
+# past 1500 tau^2, where exp(-750) is already 0
+ZERO_RADII = (
+    (GaussianKernel(0.7), 1500 * 0.7 * 0.7),
+    (GaussianKernel(0.7, support_radius=38.7 * 0.7), (38.7 * 0.7) ** 2),
+    (GaussianKernel(0.7, support_radius=38.8 * 0.7), 1500 * 0.7 * 0.7),
+    (TruncatedFlatKernel(levels=((1.0, 0.5), (2.0, 0.25))), 4.0),
+    # cut inside the (1, 2] level
+    (TruncatedFlatKernel(levels=((1.0, 0.5), (2.0, 0.25), (3.0, 0.1)), support_radius=1.5), 2.25),
+    # its own support, where the profile reaches 0
+    (TabulatedKernel(knots=((0.0, 1.0), (1.0, 0.5), (2.5, 0.0))), 6.25),
+    (TabulatedKernel(knots=((0.0, 1.0), (1.0, 0.5), (2.5, 0.1)), support_radius=1.7), 1.7 * 1.7),
+)
+
+
+@pytest.mark.parametrize("kernel, zero_sq", ZERO_RADII)
+def test_influence_past_the_zero_radius_is_exactly_zero(kernel, zero_sq):
+    assert kernel._zero_sq == zero_sq
+    past = np.array([np.nextafter(zero_sq, math.inf), 2.0 * zero_sq, 1e300])
+    # +0.0 bit for bit, as the engine's zeroed tile entries are
+    assert kernel.evaluate_sq(past).tobytes() == np.zeros(3).tobytes()
+
+
+def test_unbounded_profile_has_no_zero_radius():
+    k = TabulatedKernel(knots=((0.0, 1.0), (1.0, 0.5), (2.5, 0.1)))
+    assert k._zero_sq == math.inf and k.evaluate_sq(1e300) == 0.1
+
+
 @pytest.mark.parametrize("kernel", EVERY_FAMILY)
 def test_nan_rejected_like_a_negative(kernel):
     # NaN is not below 0 either: unchecked, it came out as nan, or as 0 for
