@@ -34,6 +34,19 @@ converges, reaches the iteration cap or fails. ``run`` is the batch of one
 that records its trace; the Monte Carlo tables run their replications on
 clouds of at most ``_TILE_ROWS`` points in batches of up to ``_BATCH``.
 
+Blurring collapses each cluster into points with equal coordinates, and a
+blurring run steps each such group once: the accelerated blurring mean
+shift of Carreira-Perpinan (2006), restricted to exact coincidence. Between
+steps a member looks for bitwise-equal rows and merges each group into one
+row that carries the group's summed weight, and keeps the map from its
+points to their rows, through which its final positions and every trace
+entry are read back at its full size. Coincident points move alike in exact
+arithmetic, so nothing is approximated; only the sums round differently.
+When a member looks depends on its own rows alone, and members of a batch
+that hold different numbers of rows step as one stack per count, so a
+member's result still never depends on its batch. Single steps and
+nonblurring runs never merge.
+
 Row blocks of the tiles are dealt round-robin to a fixed number of stripes.
 Each stripe sums its tiles in a fixed order into its own accumulator, and
 the stripe accumulators are added in stripe order. A step of at least
@@ -107,6 +120,14 @@ _SPARSE_SHARE = 0.2
 # run, stays within the byte budget
 _BATCH = 64
 _BATCH_BYTES = 2**23
+# a blurring member of m rows looks for coincident rows after every step
+# that is a multiple of ceil(_LOOK_PAIRS / m^2), step 0 included. A look
+# sorts one coordinate of the rows, and sorts the rows only on a tie
+# (look_cost in BENCH_23.json, 2-vCPU VM): 4.6 us at 100 points in 1-d,
+# where a run's step took 85 us, and 0.026 ms at 5000 points in 2-d, where
+# a step took 39 ms. So a cloud of more than 362 rows looks after every
+# step, and one of 100 every 14 steps, for well under 1% of its step time
+_LOOK_PAIRS = 2**17
 
 
 class IsolatedCenterError(RuntimeError):
@@ -208,6 +229,9 @@ class IterationTrace:
     radii: (T+1,) largest pairwise distance.
     stds: (T+1, p) per-dimension sample std.
     positions: T+1 copies of the cloud at trace_level="full", else None.
+    step_rows: (T+1,) how many rows the step into each entry ran on: the
+        cloud's n, or fewer once a blurring run merged coincident points;
+        n at entry 0. None when the trace was not recorded by ``run``.
 
     At trace_level="none" the columns are empty, stds of shape (0, p).
     """
@@ -218,6 +242,7 @@ class IterationTrace:
     positions: Optional[list] = None
     converged: bool = False
     iterations: int = 0
+    step_rows: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -320,7 +345,9 @@ def _plan(x: np.ndarray, w: np.ndarray, kernel: Kernel):
     influence-weighted means of that member's cloud, and returns them with
     a dict of the members that failed, each with its error: a ValueError
     for a member too wide to sweep, IsolatedCenterError for the first target
-    of a member that collects zero influence. ``sweep(None)`` is the
+    of a member that collects zero influence. A target whose tiles sum to
+    zero weight is summed again by ``_exact_sums`` from direct differences,
+    and fails only if it still has none. ``sweep(None)`` is the
     blurring step, whose targets are x itself: each pair is evaluated once,
     every off-diagonal tile is also scattered transposed into its column
     rows, and the self pair enters with influence exactly f(0) = 1.
@@ -461,7 +488,12 @@ def _plan(x: np.ndarray, w: np.ndarray, kernel: Kernel):
             # count_nonzero, not den.all(): a third of the cost on a small step
             if np.count_nonzero(den) < den.size:
                 for k in np.flatnonzero(~den.all(axis=1)).tolist():
-                    errors[g[k]] = IsolatedCenterError(int(np.argmin(den[k] != 0.0)))
+                    # the expanded form's rounding, or underflow, can leave a
+                    # target without influence that it has: sum its rows again
+                    at = np.flatnonzero(den[k] == 0.0)
+                    acc[k, at] = _exact_sums(kernel, tg[k, at], xc[g[k]], w[g[k]], gaussian)
+                    if not den[k].all():
+                        errors[g[k]] = IsolatedCenterError(int(np.argmin(den[k] != 0.0)))
                 # no division by zero: the failed members' rows go unused
                 den[den == 0.0] = 1.0
             moved = acc[:, :, :p] / den[:, :, None] + mug
@@ -474,6 +506,21 @@ def _plan(x: np.ndarray, w: np.ndarray, kernel: Kernel):
         return (np.empty(tc.shape) if new is None else new), errors
 
     return sweep
+
+
+def _exact_sums(kernel: Kernel, t: np.ndarray, x: np.ndarray, w: np.ndarray, shift: bool):
+    """The sums of a sweep for the targets t (k, p) against the cloud x
+    (n, p) with weights w (n,): (k, p + 1), the weighted coordinates and
+    the total weight, with squared distances from direct differences. With
+    ``shift``, for the untruncated Gaussian, each target's squared
+    distances are taken less their smallest: the factor this scales its
+    sums by cancels in its mean, and its nearest points no longer underflow.
+    A truncated kernel's target beyond the support of every point still
+    sums to zero weight."""
+    sq = _sq_dists(t, x)
+    if shift:
+        sq -= sq.min(axis=1, keepdims=True)
+    return kernel.evaluate_sq(sq) @ np.column_stack([w[:, None] * x, w])
 
 
 def _raise_first(errors: dict) -> None:
@@ -500,7 +547,9 @@ def nonblurring_step(centers: np.ndarray, data: PointSet, kernel: Kernel) -> np.
     """One update of ``centers`` against the fixed ``data`` cloud.
 
     Raises IsolatedCenterError if some center collects zero influence from
-    every data point (possible under a truncated kernel).
+    every data point, which only a truncated kernel can give: under the
+    untruncated Gaussian a center whose influences all underflow moves to
+    the mean weighted by its influences relative to its nearest point's.
     """
     c = np.asarray(centers, dtype=float)
     if c.ndim == 1:
@@ -594,20 +643,106 @@ def _batch_size(n: int) -> int:
     return min(_BATCH, _BATCH_BYTES // (8 * n * n))
 
 
+def _tied(x: np.ndarray) -> np.ndarray:
+    """Whether the cloud x (m, p), or each cloud of a stack (B, m, p), has
+    two rows with equal first coordinates. Equal rows do, so a cloud
+    without them has none; one sort of that coordinate tells, at a third of
+    the cost of sorting the rows."""
+    first = np.sort(x[..., 0], axis=-1)
+    return (first[..., 1:] == first[..., :-1]).any(axis=-1)
+
+
+def _distinct(x: np.ndarray):
+    """The bitwise-equal rows of x (m, p) in groups: the index of each
+    group's first row, ascending, and the group of every row (m,), the
+    groups numbered in that order, so x[first][group] is x. One stable sort
+    of the rows' bits; 0.0 and -0.0 fall in different groups."""
+    m = x.shape[0]
+    every = np.arange(m)
+    if not _tied(x):
+        return every, every
+    bits = np.ascontiguousarray(x).view(np.int64)
+    order = np.lexsort(bits.T[::-1])
+    ordered = bits[order]
+    starts = np.empty(m, dtype=bool)
+    starts[:1] = True
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=starts[1:])
+    if starts.all():
+        return every, every
+    # a stable sort puts each group's first row first in it
+    first = order[starts]
+    by_first = np.argsort(first)
+    number = np.empty(first.size, dtype=np.intp)
+    number[by_first] = np.arange(first.size)
+    group = np.empty(m, dtype=np.intp)
+    group[order] = number[np.cumsum(starts) - 1]
+    return first[by_first], group
+
+
+def _look(stack: tuple) -> Optional[list]:
+    """The stacks that the stack (members, x, w, rows) splits into when its
+    members merge their coincident rows, None when none has any: a stack of
+    one for each member that merges, and one of the others, if any.
+
+    A member that merges keeps the first row of each group of equal rows,
+    which carries the group's summed weight, scaled as ``_scaled_weights``
+    scales, and its rows (n,) give each of its n points the row that holds
+    it now; rows None is the identity."""
+    members, x, w, rows = stack
+    merged, gone = [], set()
+    for b in np.flatnonzero(_tied(x)).tolist():
+        keep, group = _distinct(x[b])
+        if keep.size < x.shape[1]:
+            weights = _scaled_weights(np.bincount(group, weights=w[b]))
+            held = group if rows is None else group[rows[b]]
+            merged.append(([members[b]], x[b, keep][None], weights[None], held[None]))
+            gone.add(b)
+    if not merged:
+        return None
+    stay = [b for b in range(len(members)) if b not in gone]
+    if stay:
+        rest = None if rows is None else rows[stay]
+        merged.append(([members[b] for b in stay], x[stay], w[stay], rest))
+    return merged
+
+
+def _by_count(stacks: list) -> list:
+    """The stacks (members, x, w, rows) joined into one per count of rows."""
+    counts = {}
+    for stack in stacks:
+        counts.setdefault(stack[1].shape[1], []).append(stack)
+    joined = []
+    for same in counts.values():
+        if len(same) == 1:
+            joined.append(same[0])
+            continue
+        members, x, w, rows = zip(*same)
+        # a member that merged holds fewer rows than one that never did, so
+        # stacks of one count hold rows alike
+        held = None if rows[0] is None else np.concatenate(rows)
+        joined.append((sum(members, []), np.concatenate(x), np.concatenate(w), held))
+    return joined
+
+
 def _iterate(x, w, kernel, data, stop, max_iterations, record=None):
     """Mean-shift runs of a stack of B members, each until its largest
     per-point displacement drops below ``stop`` or ``max_iterations`` steps
     are taken.
 
-    Blurring (``data`` None) moves the clouds x (B, m, p), whose weights
-    are w (B, m), with a plan of the moving clouds each step. Nonblurring
-    moves the centres x against the fixed clouds data (B, n, p), whose
-    weights are w (B, n), with one plan of the data, built again only when
-    members leave. A member leaves the batch when it converges, reaches the
-    cap or fails, and gets bitwise what it would get alone. ``record(disp,
-    x)``, for a batch of one, sees each step's displacement and positions.
+    Blurring (``data`` None) moves the clouds x (B, n, p), whose weights
+    are w (B, n), with a plan of the moving clouds each step. A member
+    holding m rows looks for coincident rows after each step t that is a
+    multiple of ceil(``_LOOK_PAIRS`` / m^2), step 0 included; one that finds
+    some merges them (``_look``), and the members that hold the same number
+    of rows step as one stack. Nonblurring moves the centres x
+    against the fixed clouds data (B, n, p), whose weights are w (B, n),
+    with one plan of the data, built again only when members leave. A
+    member leaves its stack when it converges, reaches the cap or fails,
+    and gets bitwise what it would get alone. ``record(disp, x, stepped)``,
+    for a batch of one, sees each step's displacement, positions at full
+    size and the rows the step ran on.
 
-    Returns the final positions (B, m, p), the iterations (B,) and the
+    Returns the final positions (B, n, p), the iterations (B,) and the
     converged flags (B,) of every member, and a dict of the failed members
     with their errors; a failed member's other entries mean nothing.
     """
@@ -616,40 +751,65 @@ def _iterate(x, w, kernel, data, stop, max_iterations, record=None):
     iterations = np.zeros(x.shape[0], dtype=int)
     converged = np.zeros(x.shape[0], dtype=bool)
     errors = {}
-    active = list(range(x.shape[0]))
-    sweep = None if blurring else _plan(data, w, kernel)
-
-    def keep_only(keep: list) -> None:
-        nonlocal x, w, data, sweep, active
-        x, w, active = x[keep], w[keep], [active[b] for b in keep]
-        if not blurring and keep:
-            data = data[keep]
-            sweep = _plan(data, w, kernel)
+    everyone = list(range(x.shape[0]))
+    # the running members in stacks (members, x, w, rows), each stepped as
+    # one: a nonblurring batch is one stack with the plan of its data, and a
+    # blurring batch holds one stack for each count of rows
+    stacks = [(everyone, x, w, None)] if everyone else []
+    if not blurring:
+        sweep, planned = _plan(data, w, kernel), everyone
+    elif stacks:
+        stacks = _by_count(_look(stacks[0]) or stacks)
 
     for t in range(1, max_iterations + 1):
-        if not active:
+        if not stacks:
             break
-        new, failed = _plan(x, w, kernel)(None) if blurring else sweep(x)
-        if failed:
-            for b, exc in failed.items():
-                errors[active[b]] = exc
-            keep = [b for b in range(len(active)) if b not in failed]
-            new = new[keep]
-            keep_only(keep)
-            if not active:
-                break
-        step = new - x
-        disps = np.sqrt(np.einsum("bij,bij->bi", step, step).max(axis=1)).tolist()
-        x = new
-        if record is not None:
-            record(disps[0], x[0])
         capped = t == max_iterations
-        if capped or min(disps) < stop:
-            done = [d < stop for d in disps]
-            for b, member in enumerate(active):
-                if capped or done[b]:
-                    final[member], iterations[member], converged[member] = x[b], t, done[b]
-            keep_only([] if capped else [b for b, d in enumerate(done) if not d])
+        moved = []
+        for members, x, w, rows in stacks:
+            if not blurring and members != planned:
+                sweep, planned = _plan(data[members], w, kernel), members
+            new, failed = _plan(x, w, kernel)(None) if blurring else sweep(x)
+            if failed:
+                for b, exc in failed.items():
+                    errors[members[b]] = exc
+                ok = [b for b in range(len(members)) if b not in failed]
+                if not ok:
+                    continue
+                members, x, w, new = [members[b] for b in ok], x[ok], w[ok], new[ok]
+                rows = None if rows is None else rows[ok]
+            step = new - x
+            disps = np.sqrt(np.einsum("bij,bij->bi", step, step).max(axis=1)).tolist()
+            if record is not None:
+                record(disps[0], new[0] if rows is None else new[0][rows[0]], new[0])
+            if capped or min(disps) < stop:
+                stay = []
+                for b, member in enumerate(members):
+                    done = disps[b] < stop
+                    if capped or done:
+                        final[member] = new[b] if rows is None else new[b][rows[b]]
+                        iterations[member], converged[member] = t, done
+                    else:
+                        stay.append(b)
+                if not stay:
+                    continue
+                members, new, w = [members[b] for b in stay], new[stay], w[stay]
+                rows = None if rows is None else rows[stay]
+            moved.append((members, new, w, rows))
+        if not blurring:
+            stacks = moved
+            continue
+        # a stack's members hold the same number of rows m, and look when t
+        # is a multiple of the steps that sweep _LOOK_PAIRS pairs of m
+        stacks, merged = [], False
+        for stack in moved:
+            looked = None
+            if t % -(-_LOOK_PAIRS // stack[1].shape[1] ** 2) == 0:
+                looked = _look(stack)
+            merged = merged or looked is not None
+            stacks += looked or [stack]
+        if merged:
+            stacks = _by_count(stacks)
     return final, iterations, converged, errors
 
 
@@ -672,18 +832,21 @@ def run(points: PointSet, config: RunConfig, data: Optional[PointSet] = None):
     fixed = points if data is None else data
     if fixed.dimension != points.dimension:
         raise ValueError("centers and data must share a dimension")
-    disps, radii, stds = [], [], []
+    disps, radii, stds, step_rows = [], [], [], []
     positions = [] if config.trace_level == "full" else None
 
-    def record(disp: float, x: np.ndarray) -> None:
+    def record(disp: float, x: np.ndarray, stepped: np.ndarray) -> None:
         disps.append(disp)
-        radii.append(_max_pairwise_distance(x))
+        step_rows.append(stepped.shape[0])
+        # coincident points add only zero distances: the rows stepped give
+        # the radius of the whole cloud, bitwise
+        radii.append(_max_pairwise_distance(stepped))
         stds.append(_cloud_stds(x))
         if positions is not None:
             positions.append(x.copy())
 
     if config.trace_level != "none":
-        record(math.nan, points.positions)
+        record(math.nan, points.positions, points.positions)
     final, iterations, converged, errors = _iterate(
         points.positions[None],
         _scaled_weights(fixed.weights)[None],
@@ -701,6 +864,7 @@ def run(points: PointSet, config: RunConfig, data: Optional[PointSet] = None):
         positions=positions,
         converged=bool(converged[0]),
         iterations=int(iterations[0]),
+        step_rows=np.array(step_rows, dtype=int),
     )
     return PointSet(final[0], points.weights.copy()), trace
 
@@ -711,9 +875,16 @@ def _component_labels(x: np.ndarray, tol: float) -> np.ndarray:
     """Connected components of the 'within tol of each other' graph
     (single linkage), labeled in order of each component's first point.
 
+    Equal rows are at distance 0 and always share a component, so only the
+    first row of each group of bitwise-equal rows is labelled, in order,
+    and the others take its label. A component's first point is the first
+    row of its group, so the numbering is the same.
+
     Squared distances come from ``_sq_dists``: the expanded form's
     rounding off the origin is far above tol^2 at the default tolerance,
     and would split collapsed clusters."""
+    first, group = _distinct(x)
+    x = x[first]
     n = x.shape[0]
     tol_sq = tol * tol
     labels = np.full(n, -1, dtype=int)
@@ -735,7 +906,7 @@ def _component_labels(x: np.ndarray, tol: float) -> np.ndarray:
             frontier = rest[reach]
             labels[frontier] = k
         k += 1
-    return labels
+    return labels[group]
 
 
 def extract_clusters(

@@ -177,15 +177,20 @@ def write_result_json(
 
 
 def write_trace_csv(path, trace: IterationTrace) -> None:
-    """Per-iteration trace. Columns: iteration, max_displacement, radius,
-    std_1..std_p, and for full traces the flattened positions pos{i}_{d}.
-    The first row's displacement is nan: nothing moved yet."""
+    """Per-iteration trace. Columns: iteration, step_rows, max_displacement,
+    radius, std_1..std_p, and for full traces the flattened positions
+    pos{i}_{d}. The first row's displacement is nan: nothing moved yet."""
     if not trace.radii.size:
         raise ValueError("trace was not recorded; rerun with a trace level")
     p = trace.stds.shape[1]
-    header = ["iteration", "max_displacement", "radius"]
+    header = ["iteration", "step_rows", "max_displacement", "radius"]
     header += [f"std_{d + 1}" for d in range(p)]
-    columns = [trace.max_displacements[:, None], trace.radii[:, None], trace.stds]
+    columns = [
+        trace.step_rows[:, None],
+        trace.max_displacements[:, None],
+        trace.radii[:, None],
+        trace.stds,
+    ]
     if trace.positions is not None:
         n = trace.positions[0].shape[0]
         header += [f"pos{i}_{d + 1}" for i in range(n) for d in range(p)]

@@ -151,7 +151,7 @@ class TestCluster:
         assert result["config"]["kernel"] == {"family": "gaussian", "tau": 2.0}
         assert echo["outputs"]["result"] == str(out)
         header = trace.read_text().splitlines()[0]
-        assert header == "iteration,max_displacement,radius,std_1"
+        assert header == "iteration,step_rows,max_displacement,radius,std_1"
 
     def test_matches_library_run_bitwise(self, capsys, tmp_path, sample_csv):
         out = tmp_path / "res.json"
@@ -184,9 +184,9 @@ class TestCluster:
         )
         assert code == 0
         rows = trace.read_text().splitlines()
-        assert rows[0].split(",")[3:] == ["std_1", "pos0_1", "pos1_1", "pos2_1"]
+        assert rows[0].split(",")[4:] == ["std_1", "pos0_1", "pos1_1", "pos2_1"]
         first = rows[1].split(",")
-        assert [float(v) for v in first[4:]] == [0.0, 1.0, 3.0]
+        assert [float(v) for v in first[5:]] == [0.0, 1.0, 3.0]
 
     def test_nonblurring_with_separate_data(self, capsys, tmp_path):
         centers = write(tmp_path / "c.csv", "0.2\n0.8\n")
@@ -211,7 +211,7 @@ class TestCluster:
         assert stderr == ""
         assert len(lines) == 1
         assert json.loads(lines[0])["subcommand"] == "cluster"
-        stds = np.loadtxt(trace, delimiter=",", skiprows=1, usecols=3, ndmin=1)
+        stds = np.loadtxt(trace, delimiter=",", skiprows=1, usecols=4, ndmin=1)
         assert stds.size >= 1 and np.all(np.isfinite(stds))
 
     @pytest.mark.parametrize(
@@ -299,7 +299,7 @@ class TestCluster:
         result = json.loads(out.read_text())
         assert result["centers"] == [[1e307]]
         assert result["final_positions"] == [[1e307]] * 200
-        rows = np.loadtxt(trace, delimiter=",", skiprows=1, usecols=(2, 3), ndmin=2)
+        rows = np.loadtxt(trace, delimiter=",", skiprows=1, usecols=(3, 4), ndmin=2)
         assert np.all(rows == 0.0)
 
     def test_trace_with_level_none_rejected(self, capsys, tmp_path, sample_csv):

@@ -543,6 +543,45 @@ class TestIsolation:
             nonblurring_step(np.array([0.2, 7.0]), data, k)
         assert err.value.center_index == 1
 
+    def test_far_centre_under_the_untruncated_gaussian_is_not_isolated(self):
+        # exp(-43.5^2 / 2) underflows, so every influence on the centre at
+        # 45 sums to 0; the support is infinite, and its row is summed again
+        # from direct differences less its smallest squared distance, a
+        # factor that cancels in the mean
+        x = np.random.default_rng(70).normal(size=50)
+        data = PointSet(x)
+        got = nonblurring_step(np.array([45.0, 0.3, -1.0]), data, GaussianKernel(1.0))
+        sq = [(45.0 - v) ** 2 for v in x]
+        f = [math.exp(-(s - min(sq)) / 2.0) for s in sq]
+        want = math.fsum(fi * v for fi, v in zip(f, x)) / math.fsum(f)
+        assert abs(got[0, 0] - want) <= 1e-12 * 45.0
+        # a mean pulled to the nearest points, at the data's edge
+        assert x.max() - 0.1 < got[0, 0] <= x.max()
+        # the other rows keep their bits: a centre at 30 is not isolated and
+        # keeps the tiles as wide
+        near = nonblurring_step(np.array([30.0, 0.3, -1.0]), data, GaussianKernel(1.0))
+        assert got[1:].tobytes() == near[1:].tobytes()
+        # a Gaussian cut at 3 really isolates the centre
+        with pytest.raises(IsolatedCenterError) as err:
+            nonblurring_step(np.array([0.3, 45.0]), data, GaussianKernel(1.0, support_radius=3.0))
+        assert err.value.center_index == 1
+
+    def test_centres_on_the_points_of_a_wide_cloud_are_not_isolated(self):
+        # 1.3e10 wide at tau 1: around the mean, the expanded squared distance
+        # of a centre to its own point cancels to about 1e4, where it is 0
+        rows = np.array(
+            [[4539460831.113294, 6012438938.918918]] * 4
+            + [[-7739573760.160408, -7321055034.930519]] * 2
+        )
+        bound = 4 * np.finfo(float).eps * float(np.ptp(rows, axis=0).max())
+        got = nonblurring_step(rows, PointSet(rows), GaussianKernel(1.0))
+        assert float(np.abs(got - rows).max()) <= bound
+        final, trace = run(
+            PointSet(rows), RunConfig(kernel=GaussianKernel(1.0), mode="nonblurring")
+        )
+        assert trace.converged
+        assert float(np.abs(final.positions - rows).max()) <= bound
+
     def test_blurring_never_isolates(self):
         # self influence is exactly 1, so any cloud survives a tight cutoff
         x = np.array([0.0, 100.0, 200.0])
@@ -661,6 +700,7 @@ class TestRun:
             # data: the run switches from the generic tile to the factorised
             far = PointSet(x.mean(axis=0) + np.array([[17.0, 0.0], [0.0, -17.5]]))
             cases.append((far, data, GaussianKernel(0.6)))
+        fewest = []
         for start, fixed, kernel in cases:
             cfg = RunConfig(kernel=kernel, mode=mode, max_iterations=40)
             runs = []
@@ -672,11 +712,20 @@ class TestRun:
                 got = nonblurring_step(start.positions, fixed, kernel)
                 np.testing.assert_allclose(got, want, rtol=1e-11, atol=1e-13)
             cur, disps, converged = start.positions, [math.nan], False
-            states = [cur]
-            for _ in range(cfg.max_iterations):
+            states, rows = [cur], [len(cur)]
+            # blurring steps the distinct points, merged at the engine's
+            # looks: after each step t, 0 included, that is a multiple of the
+            # steps that sweep _LOOK_PAIRS pairs
+            stepped, held = start, np.arange(len(cur))
+            for t in range(cfg.max_iterations):
                 if mode == "blurring":
-                    new = blurring_step(PointSet(cur, w), kernel).positions
+                    if t % math.ceil(engine._LOOK_PAIRS / stepped.n**2) == 0:
+                        stepped, held = merge_coincident(stepped, held)
+                    rows.append(stepped.n)
+                    stepped = blurring_step(stepped, kernel)
+                    new = stepped.positions[held]
                 else:
+                    rows.append(len(cur))
                     new = nonblurring_step(cur, start if fixed is None else fixed, kernel)
                 d = new - cur
                 disps.append(float(np.sqrt(np.max(np.einsum("ij,ij->i", d, d)))))
@@ -692,6 +741,12 @@ class TestRun:
             radii = [engine._max_pairwise_distance(s) for s in states]
             assert trace.radii.tobytes() == np.array(radii).tobytes()
             np.testing.assert_array_equal(trace.max_displacements, disps)
+            assert trace.step_rows.tolist() == rows
+            fewest.append(min(rows))
+        if mode == "blurring":
+            # the untruncated run collapses into few distinct points, and
+            # its last steps run on them
+            assert fewest[0] < len(x) / 10
 
     def test_run_builds_no_point_set_per_iteration(self, monkeypatch):
         built = []
@@ -784,6 +839,24 @@ class TestRun:
         assert trace.converged
         # both centers settle at the single mode of one gaussian blob
         assert abs(final.positions[0, 0] - final.positions[1, 0]) < 1e-7
+
+
+def merge_coincident(points, held):
+    """``points`` with each group of bitwise-equal rows as one row, at the
+    group's first row and in that order, that carries the group's weights
+    summed in row order; and ``held``, indices into the rows of ``points``,
+    mapped to the merged rows."""
+    _, first, group = np.unique(
+        points.positions.view(np.int64), axis=0, return_index=True, return_inverse=True
+    )
+    order = np.argsort(first)
+    number = np.empty_like(order)
+    number[order] = np.arange(order.size)
+    group = number[group.ravel()]
+    weights = [0.0] * order.size
+    for g, wi in zip(group.tolist(), points.weights.tolist()):
+        weights[g] += wi
+    return PointSet(points.positions[first[order]], np.array(weights)), group[held]
 
 
 def run_batch(starts, kernel, mode, data=None, max_iterations=60):
@@ -890,6 +963,39 @@ class TestBatch:
         with pytest.raises(ValueError, match="too wide"):
             engine._raise_first(errors)
 
+    def test_members_that_merge_at_different_steps_equal_their_runs(self, monkeypatch):
+        # 100 points under tau 0.5: a cloud of repeated rows merges before
+        # its first step, two blobs at the look after step 14, evenly spaced
+        # points there and again later, and a tight blob converges before
+        # any look finds a copy; the blobs come twice, and their copies step
+        # as one stack once they merge
+        rng = np.random.default_rng(71)
+        kernel = GaussianKernel(0.5)
+        blobs = np.r_[rng.normal(-1.5, 0.3, 50), rng.normal(1.5, 0.3, 50)]
+        clouds = [
+            np.repeat(rng.normal(0.0, 1.0, 10), 10),
+            rng.normal(0.0, 0.2, 100),
+            blobs,
+            np.arange(100) * 0.7 + rng.normal(0.0, 0.01, 100),
+            np.arange(100) * 1.0 + rng.normal(0.0, 0.01, 100),
+            blobs,
+        ]
+        starts = [PointSet(c[:, None] + 7.0, rng.uniform(0.5, 2.0, 100)) for c in clouds]
+        stacks = []
+        plan = engine._plan
+        monkeypatch.setattr(
+            engine, "_plan", lambda x, *rest: stacks.append(x.shape[:2]) or plan(x, *rest)
+        )
+        assert_members_run_alone(starts, kernel, "blurring", max_iterations=120)
+        assert any(g > 1 and m < 100 for g, m in stacks)
+        monkeypatch.undo()
+        merged_at = set()
+        for start in starts:
+            _, trace = run(start, RunConfig(kernel=kernel, max_iterations=120))
+            rows = trace.step_rows
+            merged_at.update(np.flatnonzero(rows[1:] < rows[:-1]).tolist())
+        assert len(merged_at) >= 4, merged_at
+
     def test_batch_size_keeps_the_tile_stack_within_its_budget(self):
         assert engine._batch_size(100) == engine._BATCH
         rows = engine._TILE_ROWS
@@ -897,6 +1003,28 @@ class TestBatch:
         assert engine._batch_size(rows) * 8 * rows * rows <= engine._BATCH_BYTES
         # a cloud past one tile steps alone
         assert engine._batch_size(rows + 1) == engine._batch_size(5000) == 1
+
+
+def bfs_labels(x, tol):
+    """The labelling loop without grouping equal rows: a breadth-first
+    search from each unlabelled row in order, over the unlabelled rows."""
+    labels = np.full(x.shape[0], -1, dtype=int)
+    k = 0
+    for seed in range(x.shape[0]):
+        if labels[seed] >= 0:
+            continue
+        labels[seed] = k
+        frontier = np.array([seed])
+        while frontier.size:
+            rest = np.flatnonzero(labels < 0)
+            reach = np.zeros(rest.size, dtype=bool)
+            for b0 in range(0, frontier.size, 256):
+                near = engine._sq_dists(x[frontier[b0 : b0 + 256]], x[rest]) <= tol * tol
+                reach |= near.any(axis=0)
+            frontier = rest[reach]
+            labels[frontier] = k
+        k += 1
+    return labels
 
 
 class TestExtractClusters:
@@ -984,6 +1112,37 @@ class TestExtractClusters:
         assert res.sizes.tolist() == sizes
         assert 1 in sizes
         np.testing.assert_allclose(res.centers, np.array(centres), rtol=1e-14, atol=0.0)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 2000),
+        distinct=st.integers(1, 60),
+        p=st.integers(1, 5),
+        tol=st.sampled_from([0.0, 1e-6]),
+        signed_zeros=st.booleans(),
+    )
+    @example(seed=3, n=2000, distinct=60, p=3, tol=1e-6, signed_zeros=True)
+    @settings(max_examples=60, deadline=None)
+    def test_grouped_labels_equal_the_bfs_and_single_linkage(
+        self, seed, n, distinct, p, tol, signed_zeros
+    ):
+        # a few rows repeated many times: clumps far from the origin,
+        # jittered at the merge tolerance so that chains form and break, and
+        # with signed zeros rows that are equal but not bitwise equal
+        rng = np.random.default_rng(seed)
+        clumps = rng.uniform(50.0, 1000.0, size=(1 + distinct // 8, p))
+        rows = clumps[rng.integers(len(clumps), size=distinct)]
+        rows += rng.normal(0.0, 1e-6, size=rows.shape)
+        if signed_zeros:
+            rows[::2, 0] = 0.0
+            rows[1::2] = rows[::2][: distinct // 2]
+            rows[1::2, 0] = -0.0
+        x = rows[rng.integers(distinct, size=n)]
+        labels = engine._component_labels(x, tol)
+        assert labels.tobytes() == bfs_labels(x, tol).tobytes()
+        # the scalar oracle takes seconds past a few hundred points
+        if n <= 300 or (n, distinct) == (2000, 60):
+            assert labels.tolist() == single_linkage_labels(as_tuples(x), tol)
 
     def test_result_holds_only_the_clustering(self):
         res = extract_clusters(PointSet(np.array([0.0, 5.0])), 1e-6)
@@ -1295,6 +1454,83 @@ class TestTranslation:
         assert_translation_commutes(
             mode, TRANSLATION_KERNELS[kernel](0.9), x, w, np.array([1e8, -3.7e7])
         )
+
+
+# each family with its scalar reference, built from tau and a cut at 3 tau;
+# the flat profile holds 1 up to tau, so it has no jump at 0
+MERGE_KERNELS = {
+    "gaussian": lambda tau: (GaussianKernel(tau), gaussian_profile(tau)),
+    "truncated": lambda tau: (
+        GaussianKernel(tau, support_radius=3.0 * tau),
+        gaussian_profile(tau, cutoff=3.0 * tau),
+    ),
+    "flat": lambda tau: (
+        TruncatedFlatKernel(levels=((tau, 1.0), (3.0 * tau, 0.25))),
+        stepped_profile(((tau, 1.0), (3.0 * tau, 0.25))),
+    ),
+    "tabulated": lambda tau: (
+        TabulatedKernel(knots=((0.0, 1.0), (tau, 0.5), (3.0 * tau, 0.0))),
+        tabulated_profile(((0.0, 1.0), (tau, 0.5), (3.0 * tau, 0.0))),
+    ),
+}
+
+
+class TestMergedRuns:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        distinct=st.integers(1, 6),
+        copies=st.integers(1, 12),
+        p=st.integers(1, 3),
+        log_tau=st.floats(-3.0, 3.0),
+        # clouds up to tau wide, which collapse as one cluster, as in
+        # TestTranslation's whole runs
+        spread=st.floats(0.01, 1.0),
+        off=st.lists(st.floats(-1e8, 1e8), min_size=3, max_size=3),
+        kernel=st.sampled_from(sorted(MERGE_KERNELS)),
+        steps=st.integers(1, 12),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_whole_runs_on_repeated_rows_match_the_naive_steps(
+        self, seed, distinct, copies, p, log_tau, spread, off, kernel, steps
+    ):
+        # rows repeated, so the run merges them before its first step, and
+        # it may merge the points it collapses later; against the scalar
+        # steps, which take every distance from direct differences, to
+        # within rounding of the offset and the extent, as TestTranslation
+        # bounds a whole run. The run stops only at a step that moves
+        # nothing, after which each naive step moves by rounding alone
+        tau = 10.0**log_tau
+        rng = np.random.default_rng(seed)
+        base = rng.normal(0.0, spread * tau, size=(distinct, p)) + np.array(off[:p])
+        x = base[rng.integers(distinct, size=distinct + copies)]
+        w = rng.uniform(0.5, 2.0, size=len(x))
+        engine_kernel, profile = MERGE_KERNELS[kernel](tau)
+        config = RunConfig(
+            kernel=engine_kernel, stop_displacement=math.ulp(0.0), max_iterations=steps
+        )
+        final, trace = run(PointSet(x, w), config)
+        assert trace.step_rows[1] == len(np.unique(x, axis=0)) < len(x)
+        want = as_tuples(x)
+        for _ in range(steps):
+            want = naive_blurring_step(want, w.tolist(), profile)
+        extent = float(np.ptp(x, axis=0).max())
+        bound = RUN_TRANSLATION_ULPS * np.finfo(float).eps * (np.abs(x).max() + extent)
+        err = float(np.abs(final.positions - np.array(want)).max())
+        assert err <= bound, (err, bound)
+
+    def test_repeated_rows_under_a_flat_kernel_that_jumps_at_zero(self):
+        # two copies of a and seven of b: the kernel is 1 at 0 and 0.8 just
+        # past it, and after the merge each copy sees the others at exactly
+        # 0, as the definition has it
+        a = (0.1681780952262086, 0.4544186129958571)
+        b = (-0.529743598251258, -0.09934464883809942)
+        x = np.array([a] * 2 + [b] * 7)
+        levels = ((0.5, 0.8), (1.0, 0.5))
+        config = RunConfig(kernel=TruncatedFlatKernel(levels=levels), max_iterations=1)
+        final, trace = run(PointSet(x), config)
+        assert trace.step_rows.tolist() == [9, 2]
+        want = naive_blurring_step(as_tuples(x), [1.0] * 9, stepped_profile(levels))
+        assert_matches_oracle(final.positions, want, 1.0)
 
 
 # each family built from its lengths: tau, or the distances of its profile
