@@ -42,9 +42,12 @@ row that carries the group's summed weight, and keeps the map from its
 points to their rows, through which its final positions and every trace
 entry are read back at its full size. Coincident points move alike in exact
 arithmetic, so nothing is approximated; only the sums round differently.
-When a member looks depends on its own rows alone, and members of a batch
-that hold different numbers of rows step as one stack per count, so a
-member's result still never depends on its batch. Single steps and
+When a member looks depends on its own rows alone. The running members of
+a batch step as one stack per count of rows, and one rule regroups them: a
+stack steps on as it is until one of its members fails or finishes, or a
+look finds rows of one that may coincide, and then every running member,
+merged where its rows coincide, is stacked again by its count of rows. So
+a member's result still never depends on its batch. Single steps and
 nonblurring runs never merge.
 
 Row blocks of the tiles are dealt round-robin to a fixed number of stripes.
@@ -298,18 +301,20 @@ def _mean(x: np.ndarray, average=lambda v: np.add.reduce(v, axis=-2, keepdims=Tr
     return m
 
 
+def _groups(keys) -> dict:
+    """The positions in ``keys`` of each distinct key, in order, the keys in
+    the order they first appear."""
+    groups = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return groups
+
+
 def _paths(spreads: np.ndarray, limit: float) -> dict:
     """The members of each tile path, in order, by their squared spreads
     (B,): True for the factorised tile, below ``limit``, False for the
     generic one, and None for the members too wide to sweep."""
-    if spreads.shape[0] == 1:
-        # a batch of one, as every run is: nothing to group
-        s = float(spreads[0])
-        return {(s < limit if s <= _WIDEST else None): [0]}
-    paths = {}
-    for b, s in enumerate(spreads.tolist()):
-        paths.setdefault(s < limit if s <= _WIDEST else None, []).append(b)
-    return paths
+    return _groups([s < limit if s <= _WIDEST else None for s in spreads.tolist()])
 
 
 def _fill_tile(kernel: Kernel, z: np.ndarray, inside: np.ndarray) -> None:
@@ -340,7 +345,7 @@ def _fill_tile(kernel: Kernel, z: np.ndarray, inside: np.ndarray) -> None:
 
 def _plan(x: np.ndarray, w: np.ndarray, kernel: Kernel):
     """The reducer plan of a stack of B clouds x (B, n, p) with weights w
-    (B, n). Its data side is built here, once; the returned
+    (B, n). The centred clouds are built here, once; the returned
     ``sweep(targets)`` moves each member's targets (B, m, p) to their
     influence-weighted means of that member's cloud, and returns them with
     a dict of the members that failed, each with its error: a ValueError
@@ -366,10 +371,9 @@ def _plan(x: np.ndarray, w: np.ndarray, kernel: Kernel):
     overwrites the tile of centred expanded squared distances, clamped at 0,
     with influences, and evaluates the kernel only on the pairs inside its
     zero radius where they are few. The path is chosen per member and per
-    sweep, and the members of one path are swept together. The plan builds
-    the data side of the tile path that each member's data alone allow; a
-    sweep whose members do not match that side builds the side they need
-    for itself, uncached.
+    sweep, and the members of one path are swept together. The data side of
+    a path and its members is built by the first sweep that takes them and
+    kept for every later sweep that does.
 
     Row block b of ``_TILE_ROWS`` targets goes to stripe b mod ``_STRIPES``;
     each stripe walks its blocks in order, in tiles of ``_TILE_COLS``
@@ -404,20 +408,17 @@ def _plan(x: np.ndarray, w: np.ndarray, kernel: Kernel):
         V[:, :, :p] = V[:, :, p, None] * xg
         return cols.transpose(0, 2, 1), V, a
 
-    # the data side of each path, for the members whose data alone take it;
-    # none for a member too wide to sweep: its products could overflow, and
-    # every sweep fails it first
-    data_paths = _paths(reach, limit)
-    data_sides = {path: (g, side(g, path)) for path, g in data_paths.items() if path is not None}
+    # the data side of each (tile path, members) that a sweep takes, built
+    # by the first such sweep; never one for a member too wide to sweep: its
+    # products could overflow, and every sweep fails it first
+    sides = {}
 
     def sweep(targets: Optional[np.ndarray]):
         blur = targets is None
         tc = xc if blur else targets - mu
         tt = xx if blur else np.einsum("bij,bij->bi", tc, tc)
-        if blur:
-            paths = data_paths
-        else:
-            paths = _paths(np.maximum(reach, tt.max(axis=1, initial=0.0)), limit)
+        # targets that push the spread to the limit take the generic path
+        paths = _paths(reach if blur else np.maximum(reach, tt.max(axis=1, initial=0.0)), limit)
         m = tc.shape[1]
         errors, new = {}, None
         for factored, g in paths.items():
@@ -427,9 +428,10 @@ def _plan(x: np.ndarray, w: np.ndarray, kernel: Kernel):
                         "the cloud is too wide: its pairwise squared distances overflow"
                     )
                 continue
-            cached = data_sides.get(factored)
-            # targets that push the spread to the limit need the generic side
-            colsT, V, a = cached[1] if cached is not None and cached[0] == g else side(g, factored)
+            key = (factored, *g)
+            if key not in sides:
+                sides[key] = side(g, factored)
+            colsT, V, a = sides[key]
             G = len(g)
             tg, ttg, xxg, mug = (tc, tt, xx, mu) if G == B else (tc[g], tt[g], xx[g], mu[g])
             rows = np.zeros((G, m, colsT.shape[1]))
@@ -679,49 +681,17 @@ def _distinct(x: np.ndarray):
     return first[by_first], group
 
 
-def _look(stack: tuple) -> Optional[list]:
-    """The stacks that the stack (members, x, w, rows) splits into when its
-    members merge their coincident rows, None when none has any: a stack of
-    one for each member that merges, and one of the others, if any.
-
-    A member that merges keeps the first row of each group of equal rows,
-    which carries the group's summed weight, scaled as ``_scaled_weights``
-    scales, and its rows (n,) give each of its n points the row that holds
-    it now; rows None is the identity."""
-    members, x, w, rows = stack
-    merged, gone = [], set()
-    for b in np.flatnonzero(_tied(x)).tolist():
-        keep, group = _distinct(x[b])
-        if keep.size < x.shape[1]:
-            weights = _scaled_weights(np.bincount(group, weights=w[b]))
-            held = group if rows is None else group[rows[b]]
-            merged.append(([members[b]], x[b, keep][None], weights[None], held[None]))
-            gone.add(b)
-    if not merged:
-        return None
-    stay = [b for b in range(len(members)) if b not in gone]
-    if stay:
-        rest = None if rows is None else rows[stay]
-        merged.append(([members[b] for b in stay], x[stay], w[stay], rest))
-    return merged
-
-
-def _by_count(stacks: list) -> list:
-    """The stacks (members, x, w, rows) joined into one per count of rows."""
-    counts = {}
-    for stack in stacks:
-        counts.setdefault(stack[1].shape[1], []).append(stack)
-    joined = []
-    for same in counts.values():
-        if len(same) == 1:
-            joined.append(same[0])
-            continue
-        members, x, w, rows = zip(*same)
-        # a member that merged holds fewer rows than one that never did, so
-        # stacks of one count hold rows alike
-        held = None if rows[0] is None else np.concatenate(rows)
-        joined.append((sum(members, []), np.concatenate(x), np.concatenate(w), held))
-    return joined
+def _merge(member: tuple) -> tuple:
+    """The running member (index, x, w, rows) with each group of its
+    bitwise-equal rows merged into the group's first row, which carries the
+    group's summed weight, scaled as ``_scaled_weights`` scales; rows (n,)
+    gives each of the member's n points the row that holds it. A member
+    without equal rows comes back as it is."""
+    b, x, w, rows = member
+    first, group = _distinct(x)
+    if first.size == x.shape[0]:
+        return member
+    return b, x[first], _scaled_weights(np.bincount(group, weights=w)), group[rows]
 
 
 def _iterate(x, w, kernel, data, stop, max_iterations, record=None):
@@ -732,84 +702,80 @@ def _iterate(x, w, kernel, data, stop, max_iterations, record=None):
     Blurring (``data`` None) moves the clouds x (B, n, p), whose weights
     are w (B, n), with a plan of the moving clouds each step. A member
     holding m rows looks for coincident rows after each step t that is a
-    multiple of ceil(``_LOOK_PAIRS`` / m^2), step 0 included; one that finds
-    some merges them (``_look``), and the members that hold the same number
-    of rows step as one stack. Nonblurring moves the centres x
-    against the fixed clouds data (B, n, p), whose weights are w (B, n),
-    with one plan of the data, built again only when members leave. A
-    member leaves its stack when it converges, reaches the cap or fails,
-    and gets bitwise what it would get alone. ``record(disp, x, stepped)``,
-    for a batch of one, sees each step's displacement, positions at full
-    size and the rows the step ran on.
+    multiple of ceil(``_LOOK_PAIRS`` / m^2), step 0 included, and merges
+    any it finds (``_merge``). Nonblurring moves the centres x against the
+    fixed clouds data (B, n, p), whose weights are w (B, n), with one plan
+    of the data, built again only when members leave.
+
+    The members that hold the same number of rows step as one stack, and a
+    stack steps on as it is until one of its members fails or finishes, or
+    a look finds rows of one that may coincide (``_tied``): then every
+    running member, merged where it has coincident rows, is stacked again
+    by its number of rows. A member leaves when it converges, reaches the
+    cap or fails, and gets bitwise what it would get alone. ``record(disp, x,
+    stepped)``, for a batch of one, sees each step's displacement,
+    positions at full size and the rows the step ran on.
 
     Returns the final positions (B, n, p), the iterations (B,) and the
     converged flags (B,) of every member, and a dict of the failed members
     with their errors; a failed member's other entries mean nothing.
     """
     blurring = data is None
+    B, n = x.shape[:2]
     final = x.copy()
-    iterations = np.zeros(x.shape[0], dtype=int)
-    converged = np.zeros(x.shape[0], dtype=bool)
+    iterations = np.zeros(B, dtype=int)
+    converged = np.zeros(B, dtype=bool)
     errors = {}
-    everyone = list(range(x.shape[0]))
-    # the running members in stacks (members, x, w, rows), each stepped as
-    # one: a nonblurring batch is one stack with the plan of its data, and a
-    # blurring batch holds one stack for each count of rows
-    stacks = [(everyone, x, w, None)] if everyone else []
-    if not blurring:
-        sweep, planned = _plan(data, w, kernel), everyone
-    elif stacks:
-        stacks = _by_count(_look(stacks[0]) or stacks)
-
+    # each running member is (index, x, w, rows): its rows, their weights,
+    # and the row that holds each of its n points
+    running = list(zip(range(B), x, w, [np.arange(n)] * B))
+    if blurring:
+        # every member looks before its first step
+        running = [_merge(member) if tie else member for member, tie in zip(running, _tied(x))]
+    stacks, planned, changed = [], None, True
     for t in range(1, max_iterations + 1):
+        if changed:
+            for stack in stacks:
+                running += zip(*stack)
+            stacks = []
+            for same in _groups([member[1].shape[0] for member in running]).values():
+                index, xs, ws, maps = zip(*[running[i] for i in same])
+                stacks.append((list(index), np.array(xs), np.array(ws), np.array(maps)))
+            running = []
         if not stacks:
             break
         capped = t == max_iterations
-        moved = []
-        for members, x, w, rows in stacks:
-            if not blurring and members != planned:
-                sweep, planned = _plan(data[members], w, kernel), members
+        moved, changed = [], False
+        for index, x, w, rows in stacks:
+            if not blurring and index != planned:
+                sweep, planned = _plan(data[index], w, kernel), index
             new, failed = _plan(x, w, kernel)(None) if blurring else sweep(x)
             if failed:
-                for b, exc in failed.items():
-                    errors[members[b]] = exc
-                ok = [b for b in range(len(members)) if b not in failed]
-                if not ok:
-                    continue
-                members, x, w, new = [members[b] for b in ok], x[ok], w[ok], new[ok]
-                rows = None if rows is None else rows[ok]
+                # a failed member's rows may be unset memory: it stays where it was
+                new[list(failed)] = x[list(failed)]
             step = new - x
             disps = np.sqrt(np.einsum("bij,bij->bi", step, step).max(axis=1)).tolist()
-            if record is not None:
-                record(disps[0], new[0] if rows is None else new[0][rows[0]], new[0])
-            if capped or min(disps) < stop:
-                stay = []
-                for b, member in enumerate(members):
-                    done = disps[b] < stop
-                    if capped or done:
-                        final[member] = new[b] if rows is None else new[b][rows[b]]
-                        iterations[member], converged[member] = t, done
-                    else:
-                        stay.append(b)
-                if not stay:
-                    continue
-                members, new, w = [members[b] for b in stay], new[stay], w[stay]
-                rows = None if rows is None else rows[stay]
-            moved.append((members, new, w, rows))
-        if not blurring:
-            stacks = moved
-            continue
-        # a stack's members hold the same number of rows m, and look when t
-        # is a multiple of the steps that sweep _LOOK_PAIRS pairs of m
-        stacks, merged = [], False
-        for stack in moved:
-            looked = None
-            if t % -(-_LOOK_PAIRS // stack[1].shape[1] ** 2) == 0:
-                looked = _look(stack)
-            merged = merged or looked is not None
-            stacks += looked or [stack]
-        if merged:
-            stacks = _by_count(stacks)
+            if record is not None and not failed:
+                record(disps[0], new[0][rows[0]], new[0])
+            # members of m rows look when t is a multiple of the steps that
+            # sweep _LOOK_PAIRS pairs of m
+            tied = []
+            if blurring and t % -(-_LOOK_PAIRS // x.shape[1] ** 2) == 0:
+                tied = np.flatnonzero(_tied(new)).tolist()
+            if not (failed or capped or tied or min(disps) < stop):
+                moved.append((index, new, w, rows))
+                continue
+            changed = True
+            for g, b in enumerate(index):
+                if g in failed:
+                    errors[b] = failed[g]
+                elif capped or disps[g] < stop:
+                    final[b] = new[g, rows[g]]
+                    iterations[b], converged[b] = t, disps[g] < stop
+                else:
+                    member = (b, new[g], w[g], rows[g])
+                    running.append(_merge(member) if g in tied else member)
+        stacks = moved
     return final, iterations, converged, errors
 
 

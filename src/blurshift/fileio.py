@@ -182,6 +182,8 @@ def write_trace_csv(path, trace: IterationTrace) -> None:
     pos{i}_{d}. The first row's displacement is nan: nothing moved yet."""
     if not trace.radii.size:
         raise ValueError("trace was not recorded; rerun with a trace level")
+    if trace.step_rows is None:
+        raise ValueError("trace has no step_rows column; record it with engine.run")
     p = trace.stds.shape[1]
     header = ["iteration", "step_rows", "max_displacement", "radius"]
     header += [f"std_{d + 1}" for d in range(p)]

@@ -188,6 +188,16 @@ class TestCluster:
         first = rows[1].split(",")
         assert [float(v) for v in first[5:]] == [0.0, 1.0, 3.0]
 
+    def test_trace_without_step_rows_names_the_column(self, tmp_path):
+        # step_rows defaults to None on a trace that run did not record
+        trace = engine.IterationTrace(
+            max_displacements=np.array([math.nan, 0.5]),
+            radii=np.array([3.0, 2.0]),
+            stds=np.array([[1.0], [0.8]]),
+        )
+        with pytest.raises(ValueError, match="step_rows"):
+            fileio.write_trace_csv(tmp_path / "tr.csv", trace)
+
     def test_nonblurring_with_separate_data(self, capsys, tmp_path):
         centers = write(tmp_path / "c.csv", "0.2\n0.8\n")
         data = write(tmp_path / "d.csv", "0.0\n1.0\n")

@@ -1,6 +1,7 @@
 import concurrent.futures
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -873,12 +874,17 @@ def run_batch(starts, kernel, mode, data=None, max_iterations=60):
     )
 
 
-def assert_members_run_alone(starts, kernel, mode, data=None, max_iterations=60):
-    """Every member of a batch gets bitwise what ``run`` gives it alone."""
+def assert_members_run_alone(starts, kernel, mode, data=None, max_iterations=60, failing=()):
+    """Every member of a batch gets bitwise what ``run`` gives it alone, and
+    the members ``failing`` fail with the error that ``run`` raises alone."""
     final, iterations, converged, errors = run_batch(starts, kernel, mode, data, max_iterations)
-    assert not errors
+    assert sorted(errors) == sorted(failing)
     cfg = RunConfig(kernel=kernel, mode=mode, max_iterations=max_iterations, trace_level="none")
     for b, start in enumerate(starts):
+        if b in errors:
+            with pytest.raises(type(errors[b]), match=re.escape(str(errors[b]))):
+                run(start, cfg, data=None if data is None else data[b])
+            continue
         alone, trace = run(start, cfg, data=None if data is None else data[b])
         assert final[b].tobytes() == alone.positions.tobytes(), b
         assert (iterations[b], converged[b]) == (trace.iterations, trace.converged), b
@@ -962,6 +968,26 @@ class TestBatch:
         assert sorted(errors) == [0, 1]
         with pytest.raises(ValueError, match="too wide"):
             engine._raise_first(errors)
+
+    def test_failing_blurring_members_leave_the_others_as_alone(self):
+        # a cloud of repeated rows merges before its first step, a cloud too
+        # wide to sweep fails at its first, and two blobs run to the cap
+        rng = np.random.default_rng(72)
+        wide = np.r_[np.zeros(99), 3e160]
+        clouds = [
+            np.repeat(rng.normal(0.0, 1.0, 10), 10),
+            wide,
+            np.r_[rng.normal(-1.5, 0.3, 50), rng.normal(1.5, 0.3, 50)],
+            wide,
+        ]
+        starts = [PointSet(c) for c in clouds]
+        kernel = GaussianKernel(0.5)
+        iterations, converged = assert_members_run_alone(
+            starts, kernel, "blurring", max_iterations=120, failing=(1, 3)
+        )
+        _, _, _, errors = run_batch(starts, kernel, "blurring", max_iterations=120)
+        assert all(type(errors[b]) is ValueError for b in (1, 3))
+        assert converged[0] and (iterations[2], converged[2]) == (120, False)
 
     def test_members_that_merge_at_different_steps_equal_their_runs(self, monkeypatch):
         # 100 points under tau 0.5: a cloud of repeated rows merges before

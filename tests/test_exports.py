@@ -1,9 +1,10 @@
 """Every name a module exports in ``__all__`` exists on it, no source file
 imports a name it never uses, and every private module-level definition of
-the package is read somewhere in it."""
+the package is read somewhere in it outside its own definition."""
 
 import ast
 import importlib
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -60,19 +61,25 @@ def test_no_unused_imports(path):
     assert unused_imports(ast.parse(path.read_text(), str(path))) == []
 
 
+def reads(node: ast.AST) -> Counter:
+    """How often each name is read in ``node``: by name, as an attribute,
+    or by importing it."""
+    read = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            read[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            read[sub.attr] += 1
+        elif isinstance(sub, ast.ImportFrom):
+            read.update(alias.name for alias in sub.names)
+    return read
+
+
 def unread_privates(trees: dict) -> list:
     """Private module-level functions, classes and constants of the modules
-    in ``trees`` (path to parsed module) that no module reads: neither by
-    name, nor as an attribute, nor by importing it."""
-    read = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                read.update(alias.name for alias in node.names)
+    in ``trees`` (path to parsed module) that no code of theirs reads
+    outside the definition itself."""
+    read = sum(map(reads, trees.values()), Counter())
     unread = []
     for path, tree in trees.items():
         for node in tree.body:
@@ -84,10 +91,11 @@ def unread_privates(trees: dict) -> list:
                 names = [node.target.id]
             else:
                 continue
+            own = reads(node)
             unread += [
                 f"{path.name}: {name} (line {node.lineno})"
                 for name in names
-                if name.startswith("_") and not name.startswith("__") and name not in read
+                if name.startswith("_") and not name.startswith("__") and read[name] <= own[name]
             ]
     return sorted(unread)
 
