@@ -122,9 +122,24 @@ def _variance_sequence(lam0: float, tau: float, steps: int) -> np.ndarray:
 
 def blurring_std_sequence(sigma0: float, tau: float, steps: int) -> np.ndarray:
     """Per-step standard deviation of an isotropic Gaussian cloud under
-    blurring updates: the square root of the variance recursion."""
-    _check_sequence_args(sigma0, tau, steps)
-    return np.sqrt(_variance_sequence(sigma0 * sigma0, tau, steps))
+    blurring updates: the square root of the variance recursion.
+
+    Step j contracts the std by r_j = lam_j / (lam_j + tau^2), the
+    nonblurring sequence by r_0 throughout, so the result is that sequence
+    times the running product of r_j / r_0. Near 1 that ratio is taken as
+    1 - (1 - r_j)(1 - lam_j / lam_0): where tau is small against sigma0 the
+    two sequences differ by about an ulp, and square roots of the variances
+    would round them together. Far below 1 it is taken directly, as
+    (lam_j / lam_0)((lam_0 + tau^2) / (lam_j + tau^2)), whose factors
+    neither overflow nor form 0 / 0.
+    """
+    fixed = nonblurring_std_sequence(sigma0, tau, steps)
+    lam0, t2 = sigma0 * sigma0, tau * tau
+    lam = _variance_sequence(lam0, tau, steps)[:-1]
+    deficit = (t2 / (lam + t2)) * ((lam0 - lam) / lam0)
+    ratio = (lam / lam0) * ((lam0 + t2) / (lam + t2))
+    factor = np.where(deficit < 0.5, 1.0 - deficit, ratio)
+    return fixed * np.concatenate(([1.0], np.cumprod(factor)))
 
 
 def nonblurring_std_sequence(sigma0: float, tau: float, steps: int) -> np.ndarray:

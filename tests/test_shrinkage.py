@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blurshift.shrinkage import (
@@ -223,7 +223,11 @@ class TestStdSequences:
         got = nonblurring_std_sequence(3.0, 3.0, 4)
         np.testing.assert_allclose(got, 3.0 * 0.5 ** np.arange(5), rtol=1e-14)
 
+    # large sigma0 against the smallest tau: the sequences part by about an
+    # ulp at step 2
     @given(sigma0=st.floats(1e-2, 1e2), tau=st.floats(1e-2, 1e2))
+    @example(sigma0=97.81504596753587, tau=0.01)
+    @example(sigma0=100.0, tau=0.01)
     @settings(max_examples=60, deadline=None)
     def test_blurring_dominates_nonblurring(self, sigma0, tau):
         steps = 6
