@@ -18,8 +18,10 @@ themselves, ``sweep(None)``, is the blurring step, with the self pair pinned
 at f(0) = 1. Every pair enters the sums exactly, no neighbor pruning. The
 sums are accumulated over cache-sized tiles in a fixed order; an
 untruncated Gaussian takes a factorised tile that needs no distances, and
-every other kernel overwrites the tile's squared distances with influences
-in place. The kernel is evaluated only inside its exact zero radius, past
+every other kernel takes a generic tile, one product of the targets' rows
+[t, 1, |t|^2] and the data's columns [-2x, |x|^2, 1] that gives every
+expanded squared distance at once, and overwrites it with influences in
+place. The kernel is evaluated only inside its exact zero radius, past
 which every influence is +0.0: a tile with few pairs inside gathers and
 fills those alone and zeroes the rest, bitwise what filling the whole tile
 gives, and the products over the tile stay dense.
@@ -318,11 +320,11 @@ def _paths(spreads: np.ndarray, limit: float) -> dict:
 
 
 def _fill_tile(kernel: Kernel, z: np.ndarray, inside: np.ndarray) -> None:
-    """Overwrite the tile z, contiguous expanded squared distances not yet
-    clamped at 0, with their influences, clamp included; ``inside`` is a
-    bool buffer of z's shape, scratch for the mask of the entries within
-    the kernel's zero radius ``_zero_sq``, past which every influence is
-    exactly +0.0.
+    """Overwrite the tile z, the contiguous expanded squared distances that
+    one product gave, not yet clamped at 0, with their influences, clamp
+    included; ``inside`` is a bool buffer of z's shape, scratch for the mask
+    of the entries within the kernel's zero radius ``_zero_sq``, past which
+    every influence is exactly +0.0.
 
     A tile with at most ``_SPARSE_SHARE`` of its entries inside gathers
     them, fills that vector and scatters it back into a zeroed tile; any
@@ -367,9 +369,12 @@ def _plan(x: np.ndarray, w: np.ndarray, kernel: Kernel):
     An untruncated Gaussian whose centred spread, of the data and the
     targets together, keeps every exponent within ``_EXP_ARG_LIMIT`` is
     factorised, exp(-|u - v|^2) = e^{-|u|^2} e^{-|v|^2} e^{2 u.v}, so a tile
-    costs one product and one exp; for any other kernel ``_fill_tile``
-    overwrites the tile of centred expanded squared distances, clamped at 0,
-    with influences, and evaluates the kernel only on the pairs inside its
+    costs one product and one exp, its columns padded to at least two. Any
+    other kernel takes the generic tile: one product of the targets' rows
+    [t, 1, |t|^2] and the data's columns [-2x, |x|^2, 1] gives the centred
+    expanded squared distances |t|^2 + |x|^2 - 2 t.x, with no pad and no
+    pass after it, and ``_fill_tile`` overwrites them, clamped at 0, with
+    influences, and evaluates the kernel only on the pairs inside its
     zero radius where they are few. The path is chosen per member and per
     sweep, and the members of one path are swept together. The data side of
     a path and its members is built by the first sweep that takes them and
@@ -393,17 +398,28 @@ def _plan(x: np.ndarray, w: np.ndarray, kernel: Kernel):
     limit = _EXP_ARG_LIMIT * (kernel.tau * kernel.tau) if gaussian else 0.0
 
     def side(g: list, factored: bool):
+        """The data side of the members g on one tile path: the columns
+        (G, k, n) that the targets' rows multiply into a tile, the weighted
+        coordinates and weights V (G, n, p + 1), and the factorised tile's
+        data factors a (G, n), None on the generic path."""
         # every member's own arrays without a copy
         xg, wg, xxg = (xc, w, xx) if len(g) == B else (xc[g], w[g], xx[g])
-        # at least two columns, zeros after the first p: a k=1 matmul is slower
-        # than an elementwise outer product, a k=2 one faster, and r c + 0 0 = r c
-        cols, V, a = np.zeros((len(g), n, max(p, 2))), np.empty((len(g), n, p + 1)), None
+        V, a = np.empty((len(g), n, p + 1)), None
         if factored:
-            # rows times columns of the cross term give 2 u.v with u = x / (sqrt 2 tau)
+            # at least two columns, zeros after the first p: a k=1 matmul is
+            # slower than an elementwise outer product, a k=2 one faster, and
+            # r c + 0 0 = r c. Rows times columns of the cross term give
+            # 2 u.v with u = x / (sqrt 2 tau)
+            cols = np.zeros((len(g), n, max(p, 2)))
             np.multiply(xg, 2.0 / (math.sqrt(2.0) * kernel.tau), out=cols[:, :, :p])
             a = np.exp(xxg / (-2.0 * kernel.tau * kernel.tau))
         else:
+            # columns [-2x, |x|^2, 1] against the rows [t, 1, |t|^2]: one
+            # product gives every expanded squared distance, no pass after it
+            cols = np.empty((len(g), n, p + 2))
             np.multiply(xg, -2.0, out=cols[:, :, :p])
+            cols[:, :, p] = xxg
+            cols[:, :, p + 1] = 1.0
         V[:, :, p] = wg if a is None else a * wg
         V[:, :, :p] = V[:, :, p, None] * xg
         return cols.transpose(0, 2, 1), V, a
@@ -433,9 +449,14 @@ def _plan(x: np.ndarray, w: np.ndarray, kernel: Kernel):
                 sides[key] = side(g, factored)
             colsT, V, a = sides[key]
             G = len(g)
-            tg, ttg, xxg, mug = (tc, tt, xx, mu) if G == B else (tc[g], tt[g], xx[g], mu[g])
+            tg, ttg, mug = (tc, tt, mu) if G == B else (tc[g], tt[g], mu[g])
             rows = np.zeros((G, m, colsT.shape[1]))
-            rows[:, :, :p] = tg / (math.sqrt(2.0) * kernel.tau) if factored else tg
+            if factored:
+                rows[:, :, :p] = tg / (math.sqrt(2.0) * kernel.tau)
+            else:
+                rows[:, :, :p] = tg
+                rows[:, :, p] = 1.0
+                rows[:, :, p + 1] = ttg
 
             def tile(
                 i0: int, i1: int, j0: int, j1: int, buf: np.ndarray, mask: Optional[np.ndarray]
@@ -446,8 +467,6 @@ def _plan(x: np.ndarray, w: np.ndarray, kernel: Kernel):
                 np.matmul(rows[:, i0:i1], colsT[:, :, j0:j1], out=z)
                 if factored:
                     return np.exp(z, out=z)
-                z += ttg[:, i0:i1, None]
-                z += xxg[:, None, j0:j1]
                 if blur and i0 == j0:
                     # the self pairs, on every member's diagonal
                     z.reshape(G, -1)[:, :: i1 - i0 + 1] = 0.0
@@ -604,6 +623,11 @@ def _max_pairwise_distance(x: np.ndarray) -> float:
 # a decorator, not a with block: it costs half as much per call
 @np.errstate(over="ignore", invalid="ignore")
 def _diameter(x: np.ndarray) -> float:
+    if x.shape[1] == 1:
+        # rounded subtraction and squaring are monotone: no pair's squared
+        # distance exceeds that of the two ends
+        d = float(x.max() - x.min())
+        return math.sqrt(d * d)
     fi = np.finfo(float)
     r = np.sqrt(_sq_dists(x, _mean(x))[:, 0])
     far = int(np.argmax(r))
@@ -848,11 +872,27 @@ def _component_labels(x: np.ndarray, tol: float) -> np.ndarray:
 
     Squared distances come from ``_sq_dists``: the expanded form's
     rounding off the origin is far above tol^2 at the default tolerance,
-    and would split collapsed clusters."""
+    and would split collapsed clusters.
+
+    In 1-d the points are sorted once and cut wherever the squared gap
+    between neighbours, taken as ``_sq_dists`` takes it, exceeds tol^2.
+    Rounded subtraction and squaring are monotone, so two points are never
+    closer than a gap between them, and the components are the BFS's."""
+    tol_sq = tol * tol
+    if x.shape[1] == 1:
+        order = np.argsort(x[:, 0])
+        gaps = np.diff(x[order, 0])
+        starts = np.flatnonzero(np.concatenate([[True], gaps * gaps > tol_sq]))
+        # each component's first point, and its number in their order
+        first = np.minimum.reduceat(order, starts)
+        number = np.empty(first.size, dtype=int)
+        number[np.argsort(first)] = np.arange(first.size)
+        labels = np.empty(x.shape[0], dtype=int)
+        labels[order] = np.repeat(number, np.diff(np.append(starts, x.shape[0])))
+        return labels
     first, group = _distinct(x)
     x = x[first]
     n = x.shape[0]
-    tol_sq = tol * tol
     labels = np.full(n, -1, dtype=int)
     k = 0
     for seed in range(n):

@@ -418,21 +418,26 @@ class TestTileInfluence:
 
     @pytest.mark.parametrize("symmetric", [True, False])
     def test_one_dimensional_tile_is_the_elementwise_product(self, symmetric):
-        # the reducer pads p=1 to two columns, the second all zeros, so the
-        # tile is one matmul; r c + 0 0 must round exactly as r c alone
+        # the generic tile is one matmul of the rows [t, 1, tt] and the
+        # columns [-2x, xx, 1], centred, with no pad, for p=1 as for p=2;
+        # the 1-row target of the n=2 nonblurring case is a product too
         rng = np.random.default_rng(65)
         kernels = (
             GaussianKernel(0.7, support_radius=2.1),
             TruncatedFlatKernel(levels=((1.0, 0.5), (2.0, 0.25))),
             TabulatedKernel(knots=((0.0, 1.0), (1.0, 0.6), (2.5, 0.1))),
         )
-        for n, offset in ((2, 0.0), (97, 0.0), (256, 0.0), (180, 1e4), (256, -37.5)):
-            x = rng.normal(offset, 3.0, size=(n, 1))
+        cases = ((2, 0.0), (97, 0.0), (256, 0.0), (180, 1e4), (256, -37.5))
+        for p, (n, offset) in ((p, case) for p in (1, 2) for case in cases):
+            x = rng.normal(offset, 3.0, size=(n, p))
             x[n // 2 :: 7] = x[1]
             targets = x if symmetric else x[::2] + 0.01
             xc = x - x.mean(axis=0)
             tc = targets - x.mean(axis=0)
-            want = ((tc * (-2.0 * xc).T) + tc * tc) + (xc * xc).T
+            ones = np.ones((1, 1))
+            rows = np.hstack([tc, ones.repeat(len(tc), 0), (tc * tc).sum(axis=1)[:, None]])
+            cols = np.hstack([-2.0 * xc, (xc * xc).sum(axis=1)[:, None], ones.repeat(n, 0)])
+            want = np.matmul(rows, cols.T)
             np.maximum(want, 0.0, out=want)
             if symmetric:
                 np.fill_diagonal(want, 0.0)
@@ -445,6 +450,51 @@ class TestTileInfluence:
                     )
                 assert len(seen) == 1
                 assert seen[0][0].tobytes() == want.tobytes()
+
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 256),
+        p=st.integers(1, 3),
+        family=st.sampled_from(["wide gaussian", "cut gaussian", "flat", "tabulated"]),
+        symmetric=st.booleans(),
+        log_scale=st.floats(-3.0, 3.0),
+        log_offset=st.floats(0.0, 6.0),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_tile_is_within_eight_eps_of_direct_differences(
+        self, seed, n, p, family, symmetric, log_scale, log_offset
+    ):
+        # clouds off the origin with repeated rows, of at most one tile: the
+        # expanded form rounds by a few eps (tt_i + xx_j) of the centred rows
+        rng = np.random.default_rng(seed)
+        scale = 10.0**log_scale
+        x = rng.normal(0.0, scale, size=(n, p)) + rng.uniform(-1.0, 1.0, p) * 10.0**log_offset
+        x[n // 2 + 1 :: 5] = x[0]
+        mu = engine._mean(x[None])[0]
+        reach = float(((x - mu) ** 2).sum(axis=1).max())
+        kernel = {
+            # twice the widest spread the factorised tile takes
+            "wide gaussian": GaussianKernel(math.sqrt(reach / (2.0 * engine._EXP_ARG_LIMIT))),
+            "cut gaussian": GaussianKernel(0.5 * scale, support_radius=1.5 * scale),
+            "flat": TruncatedFlatKernel(levels=((0.0, 1.0), (scale, 0.5), (2.0 * scale, 0.2))),
+            "tabulated": TabulatedKernel(knots=((0.0, 1.0), (scale, 0.6), (2.5 * scale, 0.1))),
+        }[family]
+        targets = x if symmetric else x[::2] + rng.normal(0.0, 0.1 * scale, size=x[::2].shape)
+        xc, tc = x - mu, targets - mu
+
+        def step():
+            try:
+                if symmetric:
+                    blurring_step(PointSet(x), kernel)
+                else:
+                    nonblurring_step(targets, PointSet(x), kernel)
+            except IsolatedCenterError:
+                pass  # its tile is taken all the same
+
+        (sq, _), = tiles_seen(kernel, step)
+        bound = 8.0 * np.finfo(float).eps * ((tc * tc).sum(axis=1)[:, None] + (xc * xc).sum(axis=1))
+        assert (np.abs(sq - engine._sq_dists(tc, xc)) <= bound).all()
 
 
 class TestFlatKernelSearch:
@@ -1144,19 +1194,23 @@ class TestExtractClusters:
         n=st.integers(1, 2000),
         distinct=st.integers(1, 60),
         p=st.integers(1, 5),
-        tol=st.sampled_from([0.0, 1e-6]),
+        tol=st.sampled_from([0.0, 1e-6, 0.5, 3.0]),
         signed_zeros=st.booleans(),
+        spread=st.booleans(),
     )
-    @example(seed=3, n=2000, distinct=60, p=3, tol=1e-6, signed_zeros=True)
-    @settings(max_examples=60, deadline=None)
+    @example(seed=3, n=2000, distinct=60, p=3, tol=1e-6, signed_zeros=True, spread=False)
+    @example(seed=4, n=2000, distinct=60, p=1, tol=3.0, signed_zeros=True, spread=True)
+    @settings(max_examples=80, deadline=None)
     def test_grouped_labels_equal_the_bfs_and_single_linkage(
-        self, seed, n, distinct, p, tol, signed_zeros
+        self, seed, n, distinct, p, tol, signed_zeros, spread
     ):
         # a few rows repeated many times: clumps far from the origin,
         # jittered at the merge tolerance so that chains form and break, and
-        # with signed zeros rows that are equal but not bitwise equal
+        # with signed zeros rows that are equal but not bitwise equal; spread
+        # rows, one clump each, chain at the wider tolerances. In 1-d the
+        # labels come from one sort, elsewhere from the BFS over distinct rows
         rng = np.random.default_rng(seed)
-        clumps = rng.uniform(50.0, 1000.0, size=(1 + distinct // 8, p))
+        clumps = rng.uniform(50.0, 1000.0, size=(distinct if spread else 1 + distinct // 8, p))
         rows = clumps[rng.integers(len(clumps), size=distinct)]
         rows += rng.normal(0.0, 1e-6, size=rows.shape)
         if signed_zeros:
@@ -1240,6 +1294,9 @@ class TestDiameter:
                 [-493.73974961776844, -832.5402174178514],
                 [-493.73974961776844, -832.5402174178514],
             ],
+            # 1-d, measured from its two ends: ties at both, off the origin,
+            # where the ends' difference rounds
+            [[1e8 + 0.1], [1e8 - 0.2], [1e8 + 0.1], [1e8 - 3e-9], [1e8 - 0.2]],
         ],
     )
     def test_edge_clouds_equal_naive_diameter(self, x):
