@@ -416,10 +416,7 @@ def _plan(x: np.ndarray, w: np.ndarray, kernel: Kernel):
         else:
             # columns [-2x, |x|^2, 1] against the rows [t, 1, |t|^2]: one
             # product gives every expanded squared distance, no pass after it
-            cols = np.empty((len(g), n, p + 2))
-            np.multiply(xg, -2.0, out=cols[:, :, :p])
-            cols[:, :, p] = xxg
-            cols[:, :, p + 1] = 1.0
+            cols = np.concatenate([-2.0 * xg, xxg[:, :, None], np.ones((len(g), n, 1))], axis=2)
         V[:, :, p] = wg if a is None else a * wg
         V[:, :, :p] = V[:, :, p, None] * xg
         return cols.transpose(0, 2, 1), V, a
@@ -450,13 +447,11 @@ def _plan(x: np.ndarray, w: np.ndarray, kernel: Kernel):
             colsT, V, a = sides[key]
             G = len(g)
             tg, ttg, mug = (tc, tt, mu) if G == B else (tc[g], tt[g], mu[g])
-            rows = np.zeros((G, m, colsT.shape[1]))
             if factored:
+                rows = np.zeros((G, m, colsT.shape[1]))
                 rows[:, :, :p] = tg / (math.sqrt(2.0) * kernel.tau)
             else:
-                rows[:, :, :p] = tg
-                rows[:, :, p] = 1.0
-                rows[:, :, p + 1] = ttg
+                rows = np.concatenate([tg, np.ones((G, m, 1)), ttg[:, :, None]], axis=2)
 
             def tile(
                 i0: int, i1: int, j0: int, j1: int, buf: np.ndarray, mask: Optional[np.ndarray]
