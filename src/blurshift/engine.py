@@ -869,10 +869,11 @@ def _component_labels(x: np.ndarray, tol: float) -> np.ndarray:
     rounding off the origin is far above tol^2 at the default tolerance,
     and would split collapsed clusters.
 
-    In 1-d the points are sorted once and cut wherever the squared gap
-    between neighbours, taken as ``_sq_dists`` takes it, exceeds tol^2.
-    Rounded subtraction and squaring are monotone, so two points are never
-    closer than a gap between them, and the components are the BFS's."""
+    In 1-d nothing is grouped: the points are sorted once and cut wherever
+    the squared gap between neighbours, taken as ``_sq_dists`` takes it,
+    exceeds tol^2. Rounded subtraction and squaring are monotone, so two
+    points are never closer than a gap between them, and the components
+    are the BFS's."""
     tol_sq = tol * tol
     if x.shape[1] == 1:
         order = np.argsort(x[:, 0])

@@ -434,9 +434,8 @@ class TestTileInfluence:
             targets = x if symmetric else x[::2] + 0.01
             xc = x - x.mean(axis=0)
             tc = targets - x.mean(axis=0)
-            ones = np.ones((1, 1))
-            rows = np.hstack([tc, ones.repeat(len(tc), 0), (tc * tc).sum(axis=1)[:, None]])
-            cols = np.hstack([-2.0 * xc, (xc * xc).sum(axis=1)[:, None], ones.repeat(n, 0)])
+            rows = np.hstack([tc, np.ones((len(tc), 1)), (tc * tc).sum(axis=1)[:, None]])
+            cols = np.hstack([-2.0 * xc, (xc * xc).sum(axis=1)[:, None], np.ones((n, 1))])
             want = np.matmul(rows, cols.T)
             np.maximum(want, 0.0, out=want)
             if symmetric:
@@ -450,7 +449,6 @@ class TestTileInfluence:
                     )
                 assert len(seen) == 1
                 assert seen[0][0].tobytes() == want.tobytes()
-
 
     @given(
         seed=st.integers(0, 2**32 - 1),
