@@ -618,11 +618,6 @@ def _max_pairwise_distance(x: np.ndarray) -> float:
 # a decorator, not a with block: it costs half as much per call
 @np.errstate(over="ignore", invalid="ignore")
 def _diameter(x: np.ndarray) -> float:
-    if x.shape[1] == 1:
-        # rounded subtraction and squaring are monotone: no pair's squared
-        # distance exceeds that of the two ends
-        d = float(x.max() - x.min())
-        return math.sqrt(d * d)
     fi = np.finfo(float)
     r = np.sqrt(_sq_dists(x, _mean(x))[:, 0])
     far = int(np.argmax(r))

@@ -147,11 +147,9 @@ def read_points_csv(path) -> PointSet:
 
 
 def _write_json(path, payload) -> None:
-    # encoded whole first: one write, and a payload that fails to encode
-    # leaves the file as it was
-    text = json.dumps(payload, indent=2) + "\n"
     with _open_output(path) as fh:
-        fh.write(text)
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
 
 
 def write_result_json(

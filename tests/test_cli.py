@@ -198,19 +198,6 @@ class TestCluster:
         with pytest.raises(ValueError, match="step_rows"):
             fileio.write_trace_csv(tmp_path / "tr.csv", trace)
 
-    def test_result_that_fails_to_encode_leaves_the_file(self, tmp_path):
-        # the payload is encoded whole before the file is opened, so a value
-        # JSON cannot hold leaves the previous result in place, not a stub
-        out = tmp_path / "res.json"
-        out.write_text("previous result\n")
-        final, trace = run(engine.PointSet(np.array([0.0, 1.0])), RunConfig(GaussianKernel(1.0)))
-        clusters = engine.extract_clusters(final)
-        with pytest.raises(TypeError, match="not JSON serializable"):
-            fileio.write_result_json(out, final, clusters, trace, {"tags": {"a"}})
-        assert out.read_text() == "previous result\n"
-        fileio.write_result_json(out, final, clusters, trace, {"tags": ["a"]})
-        assert json.loads(out.read_text())["config"] == {"tags": ["a"]}
-
     def test_nonblurring_with_separate_data(self, capsys, tmp_path):
         centers = write(tmp_path / "c.csv", "0.2\n0.8\n")
         data = write(tmp_path / "d.csv", "0.0\n1.0\n")

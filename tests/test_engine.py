@@ -1292,8 +1292,8 @@ class TestDiameter:
                 [-493.73974961776844, -832.5402174178514],
                 [-493.73974961776844, -832.5402174178514],
             ],
-            # 1-d, measured from its two ends: ties at both, off the origin,
-            # where the ends' difference rounds
+            # 1-d: ties at both ends, off the origin, where the ends'
+            # difference rounds
             [[1e8 + 0.1], [1e8 - 0.2], [1e8 + 0.1], [1e8 - 3e-9], [1e8 - 0.2]],
         ],
     )
