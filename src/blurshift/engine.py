@@ -15,16 +15,21 @@ to rounding of the cloud's extent, and holds every array that depends on
 the clouds alone. Its sweep moves each member's targets to their
 influence-weighted means of that member's cloud; sweeping the clouds
 themselves, ``sweep(None)``, is the blurring step, with the self pair pinned
-at f(0) = 1. Every pair enters the sums exactly, no neighbor pruning. The
-sums are accumulated over cache-sized tiles in a fixed order; an
-untruncated Gaussian takes a factorised tile that needs no distances, and
-every other kernel takes a generic tile, one product of the targets' rows
-[t, 1, |t|^2] and the data's columns [-2x, |x|^2, 1] that gives every
-expanded squared distance at once, and overwrites it with influences in
-place. The kernel is evaluated only inside its exact zero radius, past
-which every influence is +0.0: a tile with few pairs inside gathers and
-fills those alone and zeroes the rest, bitwise what filling the whole tile
-gives, and the products over the tile stay dense.
+at f(0) = 1. Every pair enters the sums exactly, and no pair of nonzero
+influence is left out. The sums are accumulated over cache-sized tiles in
+a fixed order; an untruncated Gaussian takes a factorised tile that needs
+no distances, and every other kernel takes a generic tile, one product of
+the targets' rows [t, 1, |t|^2] and the data's columns [-2x, |x|^2, 1]
+that gives every expanded squared distance at once, and overwrites it with
+influences in place. The kernel is evaluated only inside its exact zero
+radius, past which every influence is +0.0: a tile with few pairs inside
+gathers and fills those alone and zeroes the rest, bitwise what filling
+the whole tile gives, and the products over the tile stay dense. A cloud
+of more than one column tile on the generic path is swept in the order of
+its first centred coordinate, targets too, and a tile whose rows and
+columns lie farther apart than the zero radius, by a margin that covers
+the expanded form's rounding, is skipped whole: its influences would all
+be +0.0, and adding +0.0 changes no sum's bits.
 The tile path is chosen per member, and the members on one path are swept
 as a stack of tiles, one per member, through the same ufunc sequence as a
 member alone, so a member's result never depends on its batch.
@@ -345,6 +350,38 @@ def _fill_tile(kernel: Kernel, z: np.ndarray, inside: np.ndarray) -> None:
     flat[at] = near
 
 
+# squared gaps and bounds past the largest double are past any zero radius
+@np.errstate(over="ignore")
+def _far_chunks(t: np.ndarray, tt: np.ndarray, x: np.ndarray, xx: np.ndarray, zero_sq: float):
+    """Which chunks of ``_TILE_ROWS`` targets t (G, m, p), whose squared
+    norms are tt (G, m), lie past the zero radius of which chunks of as
+    many data points x (G, n, p), squared norms xx (G, n), on every member:
+    a nested list, entry [r][c] for target chunk r and data chunk c, true
+    only where a generic tile's every expanded squared distance between the
+    two chunks exceeds ``zero_sq``, so that the fill would make each of
+    their influences +0.0.
+
+    The squared gap between the chunks' bounding boxes is at most each
+    pair's squared distance, and rounds by under (p + 2) eps/2 of itself,
+    taken as 4 (p + 2) eps. The expanded form rounds by under
+    (1.5 p + 2) eps (tt_i + xx_j): taken as the 8 eps that
+    ``TestTileInfluence`` pins, and as 2 (p + 2) eps from p = 3 on."""
+    p = t.shape[2]
+    eps = np.finfo(float).eps
+
+    def boxes(y: np.ndarray, yy: np.ndarray):
+        at = np.arange(0, y.shape[1], _TILE_ROWS)
+        lo, hi = np.minimum.reduceat(y, at, axis=1), np.maximum.reduceat(y, at, axis=1)
+        return lo, hi, np.maximum.reduceat(yy, at, axis=1)
+
+    tlo, thi, ttop = boxes(t, tt)
+    xlo, xhi, xtop = boxes(x, xx)
+    gap = np.maximum(np.maximum(xlo[:, None] - thi[:, :, None], tlo[:, :, None] - xhi[:, None]), 0.0)
+    low = np.einsum("grcd,grcd->grc", gap, gap) * (1.0 - 4.0 * (p + 2) * eps)
+    low -= max(8.0, 2.0 * (p + 2)) * eps * (ttop[:, :, None] + xtop[:, None])
+    return (low > zero_sq).all(axis=0).tolist()
+
+
 def _plan(x: np.ndarray, w: np.ndarray, kernel: Kernel):
     """The reducer plan of a stack of B clouds x (B, n, p) with weights w
     (B, n). The centred clouds are built here, once; the returned
@@ -380,6 +417,19 @@ def _plan(x: np.ndarray, w: np.ndarray, kernel: Kernel):
     a path and its members is built by the first sweep that takes them and
     kept for every later sweep that does.
 
+    On the generic path, a cloud of more than ``_TILE_COLS`` points under
+    a kernel with a finite zero radius is ordered: the data side sorts its
+    points by their first centred coordinate (a stable sort, once per
+    plan), each sweep sorts its targets the same way, and a blurring sweep
+    takes the data's order. ``_far_chunks`` then finds the chunks of
+    ``_TILE_ROWS`` targets and points whose every expanded squared distance
+    exceeds the zero radius, and a tile that covers only such chunk pairs
+    is skipped: the fill would set it wholly to +0.0, so the sums keep
+    their bits. Chunks, not tiles, because a blurring sweep's column tiles
+    start at the end of its row block. The moved targets are put back in
+    the input's order, and an isolated target is named by its index there.
+    Clouds of one column tile and the factorised tile are never reordered.
+
     Row block b of ``_TILE_ROWS`` targets goes to stripe b mod ``_STRIPES``;
     each stripe walks its blocks in order, in tiles of ``_TILE_COLS``
     columns (a stack of one such tile per member), into its own
@@ -397,13 +447,23 @@ def _plan(x: np.ndarray, w: np.ndarray, kernel: Kernel):
     gaussian = isinstance(kernel, GaussianKernel) and not math.isfinite(kernel.support_radius)
     limit = _EXP_ARG_LIMIT * (kernel.tau * kernel.tau) if gaussian else 0.0
 
+    # on the generic path: one column tile has nothing to skip
+    ordered = n > _TILE_COLS and math.isfinite(kernel._zero_sq)
+
     def side(g: list, factored: bool):
         """The data side of the members g on one tile path: the columns
         (G, k, n) that the targets' rows multiply into a tile, the weighted
-        coordinates and weights V (G, n, p + 1), and the factorised tile's
-        data factors a (G, n), None on the generic path."""
+        coordinates and weights V (G, n, p + 1), the factorised tile's
+        data factors a (G, n), None on the generic path, the data's order
+        (G, n), None where it is not sorted, and the centred data and its
+        squared norms in that order."""
         # every member's own arrays without a copy
         xg, wg, xxg = (xc, w, xx) if len(g) == B else (xc[g], w[g], xx[g])
+        order = None
+        if ordered and not factored:
+            order = np.argsort(xg[:, :, 0], axis=1, kind="stable")
+            xg = np.take_along_axis(xg, order[:, :, None], axis=1)
+            wg, xxg = np.take_along_axis(wg, order, axis=1), np.take_along_axis(xxg, order, axis=1)
         V, a = np.empty((len(g), n, p + 1)), None
         if factored:
             # at least two columns, zeros after the first p: a k=1 matmul is
@@ -419,7 +479,7 @@ def _plan(x: np.ndarray, w: np.ndarray, kernel: Kernel):
             cols = np.concatenate([-2.0 * xg, xxg[:, :, None], np.ones((len(g), n, 1))], axis=2)
         V[:, :, p] = wg if a is None else a * wg
         V[:, :, :p] = V[:, :, p, None] * xg
-        return cols.transpose(0, 2, 1), V, a
+        return cols.transpose(0, 2, 1), V, a, order, xg, xxg
 
     # the data side of each (tile path, members) that a sweep takes, built
     # by the first such sweep; never one for a member too wide to sweep: its
@@ -444,9 +504,19 @@ def _plan(x: np.ndarray, w: np.ndarray, kernel: Kernel):
             key = (factored, *g)
             if key not in sides:
                 sides[key] = side(g, factored)
-            colsT, V, a = sides[key]
+            colsT, V, a, order, xg, xxg = sides[key]
             G = len(g)
-            tg, ttg, mug = (tc, tt, mu) if G == B else (tc[g], tt[g], mu[g])
+            mug = mu if G == B else mu[g]
+            if blur:
+                # the targets are the data, in its order
+                tg, ttg, torder = xg, xxg, order
+            else:
+                tg, ttg, torder = (tc, tt, None) if G == B else (tc[g], tt[g], None)
+                if order is not None:
+                    torder = np.argsort(tg[:, :, 0], axis=1, kind="stable")
+                    tg = np.take_along_axis(tg, torder[:, :, None], axis=1)
+                    ttg = np.take_along_axis(ttg, torder, axis=1)
+            far = None if order is None else _far_chunks(tg, ttg, xg, xxg, kernel._zero_sq)
             if factored:
                 rows = np.zeros((G, m, colsT.shape[1]))
                 rows[:, :, :p] = tg / (math.sqrt(2.0) * kernel.tau)
@@ -478,6 +548,11 @@ def _plan(x: np.ndarray, w: np.ndarray, kernel: Kernel):
                         acc[:, i0:i1] += tile(i0, i1, i0, i1, buf, mask) @ V[:, i0:i1]
                     for j0 in range(i1 if blur else 0, n, _TILE_COLS):
                         j1 = min(j0 + _TILE_COLS, n)
+                        if far is not None and all(
+                            far[i0 // _TILE_ROWS][j0 // _TILE_ROWS : -(-j1 // _TILE_ROWS)]
+                        ):
+                            # every influence is +0.0, which leaves a sum's bits alone
+                            continue
                         F = tile(i0, i1, j0, j1, buf, mask)
                         acc[:, i0:i1] += F @ V[:, j0:j1]
                         if blur:
@@ -508,11 +583,17 @@ def _plan(x: np.ndarray, w: np.ndarray, kernel: Kernel):
                     # target without influence that it has: sum its rows again
                     at = np.flatnonzero(den[k] == 0.0)
                     acc[k, at] = _exact_sums(kernel, tg[k, at], xc[g[k]], w[g[k]], gaussian)
-                    if not den[k].all():
-                        errors[g[k]] = IsolatedCenterError(int(np.argmin(den[k] != 0.0)))
+                    lost = np.flatnonzero(den[k] == 0.0)
+                    if lost.size:
+                        # the first isolated target in the input's order
+                        first = lost if torder is None else torder[k, lost]
+                        errors[g[k]] = IsolatedCenterError(int(first.min()))
                 # no division by zero: the failed members' rows go unused
                 den[den == 0.0] = 1.0
             moved = acc[:, :, :p] / den[:, :, None] + mug
+            if torder is not None:
+                # back to the input's order
+                np.put_along_axis(moved, torder[:, :, None], moved.copy(), axis=1)
             if G == B:
                 return moved, errors
             if new is None:

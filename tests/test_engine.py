@@ -584,12 +584,142 @@ class TestSparseTiles:
             assert len(handed) > 2 and set(handed) == {sparse}
 
 
+def skip_kernels(x: np.ndarray, s: float) -> dict:
+    """Every kernel family with a finite zero radius at length scale s, by
+    name, with its scalar reference: each compact one cut at 3 s, and the
+    untruncated Gaussian narrow enough that the cloud x spreads ten times
+    past what the factorised tile takes, so it takes the generic tile and
+    its zero radius, sqrt(1500) tau, falls inside the cloud."""
+    reach = float(((x - x.mean(axis=0)) ** 2).sum(axis=1).max())
+    tau = math.sqrt(reach / (10.0 * engine._EXP_ARG_LIMIT))
+    levels = ((s, 1.0), (2.0 * s, 0.5), (3.0 * s, 0.2))
+    knots = ((0.0, 1.0), (s, 0.6), (3.0 * s, 0.0))
+    return {
+        "cut gaussian": (
+            GaussianKernel(s, support_radius=3.0 * s),
+            gaussian_profile(s, cutoff=3.0 * s),
+        ),
+        "wide gaussian": (GaussianKernel(tau), gaussian_profile(tau)),
+        "flat": (TruncatedFlatKernel(levels=levels), stepped_profile(levels)),
+        "tabulated": (TabulatedKernel(knots=knots), tabulated_profile(knots)),
+    }
+
+
+class TestTileSkip:
+    """A cloud of more than one column tile on the generic path is swept in
+    the order of its first centred coordinate, and a tile whose every pair
+    lies past the kernel's zero radius is skipped: bitwise what filling it
+    with +0.0 and adding it gives."""
+
+    def clouds(self):
+        """Clouds, all but the edge one off the origin, in random order, with
+        their length scales."""
+        rng = np.random.default_rng(83)
+        grid = np.array([(i, j) for i in range(10) for j in range(10)], float) * 10.0
+        lattice = np.array([(i, j) for i in range(35) for j in range(35)], float)
+        # multiples of 1/8 about an exact mean of 0, so centring is exact.
+        # Sorted, chunks 1 and 3, and 2 and 4, of 256 points each lie exactly
+        # 3 apart, the compact kernels' zero radius: a pair of each is inside
+        half = [-60.0 - rng.integers(1, 321, 256) / 8.0, -2.0 - rng.integers(0, 464, 256) / 8.0]
+        half.append(-1.0 - rng.integers(0, 8, 256) / 8.0)
+        half = np.concatenate(half)
+        half[[256, 512]] = -2.0, -1.0
+        clouds = {
+            "blobs": (np.repeat(grid, 12, axis=0) + rng.normal(0.0, 0.5, (1200, 2)) + 40.0, 1.0),
+            "uniform": (rng.uniform(0.0, 100.0, (1200, 2)) - 250.0, 2.0),
+            "line": (rng.normal(1e3, 30.0, (1100, 1)), 3.0),
+            # no coordinate exact in binary
+            "lattice": (lattice + 300.1, 1.0),
+            "cube": (rng.uniform(-20.0, 20.0, (1100, 3)) + 1e6, 2.0),
+            "edge": (np.concatenate([half, -half])[:, None], 1.0),
+        }
+        return {name: (x[rng.permutation(len(x))], s) for name, (x, s) in clouds.items()}
+
+    @pytest.mark.parametrize("mode", ["blurring", "nonblurring"])
+    @pytest.mark.parametrize("family", ["cut gaussian", "wide gaussian", "flat", "tabulated"])
+    @pytest.mark.parametrize("cloud", ["blobs", "uniform", "line", "lattice", "cube", "edge"])
+    def test_skipped_tiles_change_no_bit(self, monkeypatch, cloud, family, mode):
+        x, s = self.clouds()[cloud]
+        kernel, _ = skip_kernels(x, s)[family]
+        rng = np.random.default_rng(84)
+        pts = PointSet(x, rng.uniform(0.5, 2.0, x.shape[0]))
+        targets = x[::2] + rng.normal(0.0, 0.05 * s, x[::2].shape)
+
+        def step():
+            if mode == "blurring":
+                return blurring_step(pts, kernel).positions
+            return nonblurring_step(targets, pts, kernel)
+
+        decide, skipped = engine._far_chunks, []
+
+        def spy(t, tt, xs, xxs, zero_sq):
+            far = decide(t, tt, xs, xxs, zero_sq)
+            rows = np.concatenate([t, np.ones(tt.shape + (1,)), tt[:, :, None]], axis=2)
+            cols = np.concatenate([-2.0 * xs, xxs[:, :, None], np.ones(xxs.shape + (1,))], axis=2)
+            for r, c in zip(*np.nonzero(far)):
+                # the chunks' expanded squared distances, as the tile forms them
+                sq = np.matmul(
+                    rows[:, r * engine._TILE_ROWS : (r + 1) * engine._TILE_ROWS],
+                    cols[:, c * engine._TILE_ROWS : (c + 1) * engine._TILE_ROWS].transpose(0, 2, 1),
+                )
+                assert sq.min() > zero_sq
+                skipped.append((r, c))
+            return far
+
+        monkeypatch.setattr(engine, "_far_chunks", spy)
+        got = step()
+        assert skipped
+        monkeypatch.setattr(engine, "_far_chunks", lambda *a: [[False] * len(r) for r in decide(*a)])
+        assert got.tobytes() == step().tobytes()
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(513, 1500),
+        p=st.integers(1, 3),
+        family=st.sampled_from(["cut gaussian", "wide gaussian", "flat", "tabulated"]),
+        mode=st.sampled_from(["blurring", "nonblurring"]),
+        log_width=st.floats(0.5, 1.5),
+        log_offset=st.floats(0.0, 6.0),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_multi_tile_steps_match_the_naive_steps(
+        self, seed, n, p, family, mode, log_width, log_offset
+    ):
+        # clouds 3 to 30 kernel scales wide; rows drawn from the step, since
+        # the scalar reference takes seconds over every pair. A blurring row
+        # is the nonblurring step of that point against the cloud
+        rng = np.random.default_rng(seed)
+        width = 10.0**log_width
+        x = rng.normal(0.0, width, (n, p)) + rng.uniform(-1.0, 1.0, p) * 10.0**log_offset
+        w = rng.uniform(0.5, 2.0, n)
+        kernel, ref = skip_kernels(x, 1.0)[family]
+        if mode == "blurring":
+            targets = x
+            got = blurring_step(PointSet(x, w), kernel).positions
+        else:
+            targets = x[::2] + rng.normal(0.0, 0.01 * width, x[::2].shape)
+            got = nonblurring_step(targets, PointSet(x, w), kernel)
+        rows = rng.choice(len(targets), 12, replace=False)
+        want = naive_nonblurring_step(as_tuples(targets[rows]), as_tuples(x), list(w), ref)
+        assert_matches_oracle(got[rows], want, max(np.abs(x).max(), np.abs(targets).max()))
+
+
 class TestIsolation:
     def test_isolated_center_raises_with_index(self):
         data = PointSet(np.array([0.0, 0.5]))
         k = TruncatedFlatKernel(levels=((1.0, 0.5),))
         with pytest.raises(IsolatedCenterError) as err:
             nonblurring_step(np.array([0.2, 7.0]), data, k)
+        assert err.value.center_index == 1
+
+    def test_isolated_center_index_is_in_the_input_order(self):
+        # the targets are swept in the order of their first coordinate, and
+        # many lie off the data: the first of them in that order is not 1
+        rng = np.random.default_rng(5)
+        data = PointSet(rng.uniform(0.0, 100.0, (2000, 2)))
+        centers = rng.uniform(-60.0, 160.0, (700, 2))
+        with pytest.raises(IsolatedCenterError) as err:
+            nonblurring_step(centers, data, GaussianKernel(1.0, support_radius=3.0))
         assert err.value.center_index == 1
 
     def test_far_centre_under_the_untruncated_gaussian_is_not_isolated(self):
